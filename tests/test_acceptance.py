@@ -21,6 +21,7 @@ from qcorr.app import (
     SweepSpec,
     audit_formulas,
     emit_csv,
+    emit_json,
     figure_preset,
     frozen_lqfi_windows,
     run_sweep,
@@ -49,6 +50,9 @@ FROZEN_SHA256 = {
     "fig4_top": "a87f5c88ebb1858b9d10e7dc38f782c4c733d1c023ceef46465358b8d30c26cb",
     "fig4_bottom": "1225c448027847cd8224dbb48e4d092d0e9bea317e7a9685497aa0cc18d9831f",
 }
+
+# emit_json of the 1000-point, seed-42 audit report.
+FROZEN_AUDIT_SHA256 = "3cbfa1820cd78442a08ff175146bb11a9f90fe5d0872b88e329d63909e289a7f"
 
 GOLDEN_MINI_CSV = """\
 variable,series,negativity,lqu,lqfi
@@ -211,6 +215,8 @@ def test_criterion_4_audit_flags_known_misprints():
     report = audit_formulas(AuditGrid(count=1000, seed=42))
     rerun = audit_formulas(AuditGrid(count=1000, seed=42))
     assert report.to_dicts() == rerun.to_dicts()
+    digest = hashlib.sha256(emit_json(report).encode("utf-8")).hexdigest()
+    assert digest == FROZEN_AUDIT_SHA256, f"audit JSON drifted: {digest}"
 
     flagged = set(report.inconsistent_ids())
     must_flag = {
