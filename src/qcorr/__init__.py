@@ -2,128 +2,4 @@
 couplings: negativity, local quantum uncertainty, and local quantum Fisher
 information, with closed-form/oracle cross-checks and a formula audit."""
 
-from .numkernel import (
-    NotHermitianError,
-    NotPSDError,
-    hermitian_eig,
-    psd_sqrt,
-    gibbs_exp,
-    partial_transpose_first,
-    embed_pauli_first,
-    sym3_eig,
-    sym3_eig_max,
-)
-from .model import (
-    NotXStateError,
-    ModelParams,
-    DerivedScales,
-    XState,
-    PhaseInfo,
-    XSpectrum,
-    build_hamiltonian,
-    closed_spectrum,
-    derived_scales,
-    thermal_state_oracle,
-    thermal_state_closed,
-    remove_phases,
-    x_eigenvalues,
-)
-from .quantifiers import (
-    PTSpectrum,
-    LquResult,
-    LqfiResult,
-    CorrelationTriple,
-    negativity,
-    pt_eigen_closed,
-    lqu,
-    lqfi,
-    correlations,
-)
-from .decoherence import (
-    DephasingParams,
-    DephasedSpectrum,
-    DephasedPTSpectrum,
-    gamma_from_time,
-    dephasing_kraus,
-    apply_dephasing,
-    dephased_spectrum_closed,
-    dephased_pt_eigen_closed,
-)
-from .audit import (
-    CONSISTENCY_TOL,
-    FORMULA_IDS,
-    AuditGrid,
-    DiscrepancyRecord,
-    DiscrepancyReport,
-    audit_formulas,
-)
-from .app import (
-    SweepSpec,
-    SweepRow,
-    run_sweep,
-    figure_preset,
-    FIGURE_PRESETS,
-    emit_csv,
-    emit_json,
-    frozen_lqfi_windows,
-)
-from .cli import cli_main
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "NotHermitianError",
-    "NotPSDError",
-    "NotXStateError",
-    "hermitian_eig",
-    "psd_sqrt",
-    "gibbs_exp",
-    "partial_transpose_first",
-    "embed_pauli_first",
-    "sym3_eig",
-    "sym3_eig_max",
-    "ModelParams",
-    "DerivedScales",
-    "XState",
-    "PhaseInfo",
-    "XSpectrum",
-    "build_hamiltonian",
-    "closed_spectrum",
-    "derived_scales",
-    "thermal_state_oracle",
-    "thermal_state_closed",
-    "remove_phases",
-    "x_eigenvalues",
-    "PTSpectrum",
-    "LquResult",
-    "LqfiResult",
-    "CorrelationTriple",
-    "negativity",
-    "pt_eigen_closed",
-    "lqu",
-    "lqfi",
-    "correlations",
-    "DephasingParams",
-    "DephasedSpectrum",
-    "DephasedPTSpectrum",
-    "gamma_from_time",
-    "dephasing_kraus",
-    "apply_dephasing",
-    "dephased_spectrum_closed",
-    "dephased_pt_eigen_closed",
-    "CONSISTENCY_TOL",
-    "FORMULA_IDS",
-    "AuditGrid",
-    "DiscrepancyRecord",
-    "DiscrepancyReport",
-    "audit_formulas",
-    "SweepSpec",
-    "SweepRow",
-    "run_sweep",
-    "figure_preset",
-    "FIGURE_PRESETS",
-    "emit_csv",
-    "emit_json",
-    "frozen_lqfi_windows",
-    "cli_main",
-]

@@ -3,10 +3,7 @@
 A sweep evaluates the three quantifiers (negativity, LQU, LQFI) along one
 variable (dz, b, t or gamma) for a family of parameter series, always
 through the oracle pipeline.  Row order is deterministic: series-major in
-the order given, variable ascending inside each series, independent of the
-worker count.  Workers are threads; QCORR_THREADS (default 1) sets how
-many, and any count produces byte-identical output because every point is
-computed independently with the same arithmetic.
+the order given, variable ascending inside each series.
 
 The six figure presets reproduce the published parameter scans: quantifier
 versus dz for several temperatures at jz = +-2, versus field for several
@@ -28,13 +25,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import AuditGrid, DiscrepancyReport, audit_formulas
+from .audit import DiscrepancyReport
 from .model import ModelParams
 from .quantifiers import CONVENTIONS, correlations
 
@@ -48,9 +43,6 @@ __all__ = [
     "emit_csv",
     "emit_json",
     "frozen_lqfi_windows",
-    "audit_formulas",
-    "AuditGrid",
-    "DiscrepancyReport",
 ]
 
 SWEEP_VARIABLES = ("dz", "b", "t", "gamma")
@@ -133,17 +125,6 @@ class SweepRow:
     lqfi: float
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("QCORR_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"QCORR_THREADS must be a positive integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"QCORR_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def _sweep_point(spec: SweepSpec, label: str, base: ModelParams, x: float) -> SweepRow:
     try:
         if spec.variable == "gamma":
@@ -173,15 +154,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     variable value attached to the propagated error.
     """
     values = [float(x) for x in np.linspace(spec.start, spec.stop, spec.steps)]
-    tasks = []
-    for label, override in spec.series:
-        base = dataclasses.replace(spec.fixed, **{spec.series_param: override})
-        tasks.extend((label, base, x) for x in values)
-    workers = _env_threads()
-    if workers == 1:
-        return [_sweep_point(spec, *task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: _sweep_point(spec, *task), tasks))
+    bases = [
+        (label, dataclasses.replace(spec.fixed, **{spec.series_param: override}))
+        for label, override in spec.series
+    ]
+    return [_sweep_point(spec, label, base, x) for label, base in bases for x in values]
 
 
 _T_SERIES = tuple((f"T={v:g}", v) for v in (0.5, 1.0, 1.5, 2.0))

@@ -36,6 +36,7 @@ from .decoherence import (
 )
 from .model import (
     ModelParams,
+    block_pair,
     build_hamiltonian,
     closed_spectrum,
     derived_scales,
@@ -155,13 +156,6 @@ def _record_from(formula_id: str, devs: list[float]) -> DiscrepancyRecord:
     )
 
 
-def _block_pair(p00: float, p11: float, coh: float) -> tuple[float, float]:
-    """Eigenvalues (minus, plus) of the 2x2 block [[p00, coh], [coh, p11]]."""
-    mid = (p00 + p11) / 2.0
-    half = math.hypot((p00 - p11) / 2.0, coh)
-    return mid - half, mid + half
-
-
 def _pair_dev(lo: float, hi: float, ref_lo: float, ref_hi: float) -> float:
     return max(abs(lo - ref_lo), abs(hi - ref_hi))
 
@@ -221,8 +215,8 @@ def audit_formulas(grid: AuditGrid | None = None) -> DiscrepancyReport:
         devs["Eq16_abs_rho14"].append(abs(state.u - abs(rho[0, 3])))
         devs["Eq17_abs_rho23"].append(abs(state.v - abs(rho[1, 2])))
 
-        lo23, hi23 = _block_pair(r22, r33, abs(rho[1, 2]))
-        lo14, hi14 = _block_pair(r11, r44, abs(rho[0, 3]))
+        lo23, hi23 = block_pair(r22, r33, abs(rho[1, 2]))
+        lo14, hi14 = block_pair(r11, r44, abs(rho[0, 3]))
         xp = x_eigenvalues(state, scales=s, variant="as_printed", params=p)
         devs["Eq18_eta12"].append(_pair_dev(xp.eta1, xp.eta2, lo23, hi23))
         devs["Eq19_eta34"].append(_pair_dev(xp.eta3, xp.eta4, lo14, hi14))
@@ -235,8 +229,8 @@ def audit_formulas(grid: AuditGrid | None = None) -> DiscrepancyReport:
         )
 
         # Partial transpose swaps the coherences between the two blocks.
-        pt_lo12, pt_hi12 = _block_pair(r11, r44, abs(rho[1, 2]))
-        pt_lo34, pt_hi34 = _block_pair(r22, r33, abs(rho[0, 3]))
+        pt_lo12, pt_hi12 = block_pair(r11, r44, abs(rho[1, 2]))
+        pt_lo34, pt_hi34 = block_pair(r22, r33, abs(rho[0, 3]))
         try:
             ptp = pt_eigen_closed(p, "as_printed")
         except ValueError:
@@ -267,8 +261,8 @@ def audit_formulas(grid: AuditGrid | None = None) -> DiscrepancyReport:
             )
         )
 
-        dlo23, dhi23 = _block_pair(r22, r33, abs(rho_dc[1, 2]))
-        dlo14, dhi14 = _block_pair(r11, r44, abs(rho_dc[0, 3]))
+        dlo23, dhi23 = block_pair(r22, r33, abs(rho_dc[1, 2]))
+        dlo14, dhi14 = block_pair(r11, r44, abs(rho_dc[0, 3]))
         dsp = dephased_spectrum_closed(p, gamma, "as_printed")
         devs["Eq60_eta12_DC"].append(
             _pair_dev(dsp.etas[0], dsp.etas[1], dlo23, dhi23)
@@ -277,8 +271,8 @@ def audit_formulas(grid: AuditGrid | None = None) -> DiscrepancyReport:
             _pair_dev(dsp.etas[2], dsp.etas[3], dlo14, dhi14)
         )
 
-        dpt_lo12, dpt_hi12 = _block_pair(r11, r44, abs(rho_dc[1, 2]))
-        dpt_lo34, dpt_hi34 = _block_pair(r22, r33, abs(rho_dc[0, 3]))
+        dpt_lo12, dpt_hi12 = block_pair(r11, r44, abs(rho_dc[1, 2]))
+        dpt_lo34, dpt_hi34 = block_pair(r22, r33, abs(rho_dc[0, 3]))
         try:
             dpt = dephased_pt_eigen_closed(p, gamma, "as_printed")
         except ValueError:

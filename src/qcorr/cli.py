@@ -13,26 +13,35 @@ error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 from .app import (
     FIGURE_PRESETS,
     SWEEP_VARIABLES,
-    AuditGrid,
     SweepSpec,
-    audit_formulas,
     emit_csv,
     emit_json,
     figure_preset,
     frozen_lqfi_windows,
     run_sweep,
 )
+from .audit import AuditGrid, audit_formulas
 from .model import ModelParams, NotXStateError
 from .numkernel import NotHermitianError, NotPSDError
 from .quantifiers import CONVENTIONS, correlations
 
 __all__ = ["cli_main", "main"]
+
+# Options that take a float.  argparse reads only -1 or -0.5 style tokens as
+# negative numbers; a separate -1e-05 reads as an option, so these flags (or
+# an abbreviation of one) are joined to such a value (--dz=-1e-05) before
+# parsing.
+_FLOAT_FLAGS = (
+    "--jx", "--jy", "--jz", "--dz", "--gz", "--b", "--t", "--gamma", "--from", "--to"
+)
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def _model_flags(parser: argparse.ArgumentParser, t_required: bool) -> None:
@@ -51,6 +60,22 @@ def _model_flags(parser: argparse.ArgumentParser, t_required: bool) -> None:
         parser.add_argument(
             "--t", type=float, default=1.0, help="temperature (> 0, default 1)"
         )
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write each float flag followed by a negative number as --flag=value."""
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (
+            len(flag) > 2
+            and any(name.startswith(flag) for name in _FLOAT_FLAGS)
+            and _NEGATIVE_NUMBER.fullmatch(token)
+        ):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _params_from(args: argparse.Namespace) -> ModelParams:
@@ -189,8 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

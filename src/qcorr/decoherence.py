@@ -30,6 +30,7 @@ import numpy as np
 
 from .model import (
     ModelParams,
+    block_pair,
     derived_scales,
     thermal_state_closed,
     _sinh_ratio,
@@ -37,7 +38,6 @@ from .model import (
 from .numkernel import embed_pauli_first
 
 __all__ = [
-    "DephasingParams",
     "DephasedSpectrum",
     "DephasedPTSpectrum",
     "gamma_from_time",
@@ -57,20 +57,6 @@ def _check_gamma(gamma: float) -> float:
     if not math.isfinite(gamma) or not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
     return gamma
-
-
-@dataclass(frozen=True)
-class DephasingParams:
-    """Channel strength gamma in [0, 1]; 0 is the identity, 1 kills coherence."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
-
-    @staticmethod
-    def from_rate_time(rate: float, time: float) -> "DephasingParams":
-        return DephasingParams(gamma_from_time(rate, time))
 
 
 @dataclass(frozen=True)
@@ -190,12 +176,8 @@ def dephased_spectrum_closed(
 
     if variant == "corrected":
         v_dc = one_mg * state.v
-        u_dc = one_mg * state.u
-        mid = (state.a1 + state.a4) / 2.0
-        half = math.hypot((state.a1 - state.a4) / 2.0, u_dc)
-        etas = np.array(
-            [state.a2 - v_dc, state.a2 + v_dc, mid - half, mid + half]
-        )
+        eta3, eta4 = block_pair(state.a1, state.a4, one_mg * state.u)
+        etas = np.array([state.a2 - v_dc, state.a2 + v_dc, eta3, eta4])
         if r1g > _DEGENERATE_SLOPE_TOL:
             xi1 = (big_r - 2.0 * p.b) / r1g
             xi2 = -(big_r + 2.0 * p.b) / r1g
@@ -263,16 +245,9 @@ def dephased_pt_eigen_closed(
     one_mg = 1.0 - gamma
 
     if variant == "corrected":
-        mid = (state.a1 + state.a4) / 2.0
-        half = math.hypot((state.a1 - state.a4) / 2.0, one_mg * state.v)
-        es = np.array(
-            [
-                mid - half,
-                mid + half,
-                state.a2 - one_mg * state.u,
-                state.a2 + one_mg * state.u,
-            ]
-        )
+        e1, e2 = block_pair(state.a1, state.a4, one_mg * state.v)
+        u_dc = one_mg * state.u
+        es = np.array([e1, e2, state.a2 - u_dc, state.a2 + u_dc])
         return DephasedPTSpectrum(es=es, p_aux=math.nan)
 
     if variant != "as_printed":

@@ -43,6 +43,7 @@ __all__ = [
     "thermal_state_closed",
     "remove_phases",
     "x_eigenvalues",
+    "block_pair",
     "X_STRUCTURE_TOL",
     "VARIANTS",
 ]
@@ -105,8 +106,6 @@ class DerivedScales:
     r1 = sqrt(4*gz^2 + (jx-jy)^2)        couples to the |00>/|11> coherence
     r2 = sqrt(4*dz^2 + (jx+jy)^2)        couples to the |01>/|10> block
     r3 = sqrt(4*gz^2 + 4*b^2 + (jx-jy)^2) spread of the |00>/|11> block
-    m1, m2 : the same quantities as r2, r3 (they appear in the Hamiltonian
-             spectrum under these names)
     z      : partition function
     beta   : inverse temperature
     """
@@ -114,8 +113,6 @@ class DerivedScales:
     r1: float
     r2: float
     r3: float
-    m1: float
-    m2: float
     z: float
     beta: float
 
@@ -209,6 +206,13 @@ def _sinh_ratio(beta: float, r: float) -> float:
     return math.sinh(x) / r
 
 
+def block_pair(p00: float, p11: float, coh: float) -> tuple[float, float]:
+    """Eigenvalues (minus, plus) of the 2x2 block [[p00, coh], [coh, p11]]."""
+    mid = (p00 + p11) / 2.0
+    half = math.hypot((p00 - p11) / 2.0, coh)
+    return mid - half, mid + half
+
+
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
     """Hamiltonian matrix in the product basis {|00>, |01>, |10>, |11>}.
 
@@ -239,7 +243,7 @@ def closed_spectrum(p: ModelParams) -> np.ndarray:
 
 
 def derived_scales(p: ModelParams) -> DerivedScales:
-    """Energy scales r1, r2, r3 (= m1, m2) and the partition function."""
+    """Energy scales r1, r2, r3 and the partition function."""
     r1 = math.hypot(2.0 * p.gz, p.jx - p.jy)
     r2 = math.hypot(2.0 * p.dz, p.jx + p.jy)
     r3 = math.hypot(2.0 * p.gz, 2.0 * p.b, p.jx - p.jy)
@@ -247,7 +251,7 @@ def derived_scales(p: ModelParams) -> DerivedScales:
     z = 2.0 * math.exp(beta * p.jz) * math.cosh(beta * r2) + 2.0 * math.exp(
         -beta * p.jz
     ) * math.cosh(beta * r3)
-    return DerivedScales(r1=r1, r2=r2, r3=r3, m1=r2, m2=r3, z=z, beta=beta)
+    return DerivedScales(r1=r1, r2=r2, r3=r3, z=z, beta=beta)
 
 
 def thermal_state_oracle(p: ModelParams) -> np.ndarray:
@@ -378,17 +382,9 @@ def x_eigenvalues(
     """
     _check_variant(variant)
     if variant == "corrected":
-        half23 = math.hypot((x.a2 - x.a3) / 2.0, x.v)
-        mid23 = (x.a2 + x.a3) / 2.0
-        half14 = math.hypot((x.a1 - x.a4) / 2.0, x.u)
-        mid14 = (x.a1 + x.a4) / 2.0
-        return XSpectrum(
-            eta1=mid23 - half23,
-            eta2=mid23 + half23,
-            eta3=mid14 - half14,
-            eta4=mid14 + half14,
-            xi=math.nan,
-        )
+        eta1, eta2 = block_pair(x.a2, x.a3, x.v)
+        eta3, eta4 = block_pair(x.a1, x.a4, x.u)
+        return XSpectrum(eta1=eta1, eta2=eta2, eta3=eta3, eta4=eta4, xi=math.nan)
     if scales is None or params is None:
         raise ValueError("as_printed x_eigenvalues needs both scales and params")
     beta, z, r2, r3 = scales.beta, scales.z, scales.r2, scales.r3

@@ -33,8 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoherence import apply_dephasing
 from .model import (
     ModelParams,
+    block_pair,
     derived_scales,
     thermal_state_closed,
     thermal_state_oracle,
@@ -156,11 +158,10 @@ def pt_eigen_closed(p: ModelParams, variant: str = "corrected") -> PTSpectrum:
     """
     state, _ = thermal_state_closed(p, "corrected")
     if variant == "corrected":
-        half = math.hypot((state.a1 - state.a4) / 2.0, state.v)
-        mid = (state.a1 + state.a4) / 2.0
+        e1, e2 = block_pair(state.a1, state.a4, state.v)
         return PTSpectrum(
-            e1=mid - half,
-            e2=mid + half,
+            e1=e1,
+            e2=e2,
             e3=state.a2 - state.u,
             e4=state.a2 + state.u,
             chi=math.nan,
@@ -268,8 +269,6 @@ def correlations(
     The state always comes from the oracle route; with gamma set, the
     single-qubit dephasing channel is applied first.
     """
-    from .decoherence import apply_dephasing
-
     rho = thermal_state_oracle(p)
     if gamma is not None:
         rho = apply_dephasing(rho, gamma)

@@ -9,18 +9,15 @@ import pytest
 
 from qcorr.app import (
     FIGURE_PRESETS,
-    AuditGrid,
-    DiscrepancyReport,
     SweepRow,
     SweepSpec,
-    audit_formulas,
     emit_csv,
     emit_json,
     figure_preset,
     frozen_lqfi_windows,
     run_sweep,
 )
-from qcorr.audit import FORMULA_IDS
+from qcorr.audit import FORMULA_IDS, AuditGrid, DiscrepancyReport, audit_formulas
 from qcorr.cli import cli_main
 from qcorr.model import ModelParams
 from qcorr.numkernel import NotPSDError
@@ -137,21 +134,6 @@ def test_run_sweep_error_context(monkeypatch):
 
     monkeypatch.setattr("qcorr.app.correlations", boom)
     with pytest.raises(ValueError, match=r"series='t=0.5', b=0.0"):
-        run_sweep(mini_spec())
-
-
-def test_run_sweep_thread_count_is_invisible(monkeypatch):
-    monkeypatch.setenv("QCORR_THREADS", "1")
-    single = run_sweep(mini_spec())
-    monkeypatch.setenv("QCORR_THREADS", "4")
-    pooled = run_sweep(mini_spec())
-    assert single == pooled
-
-
-@pytest.mark.parametrize("raw", ["0", "-2", "abc", ""])
-def test_run_sweep_rejects_bad_thread_env(monkeypatch, raw):
-    monkeypatch.setenv("QCORR_THREADS", raw)
-    with pytest.raises(ValueError):
         run_sweep(mini_spec())
 
 
@@ -389,6 +371,38 @@ def test_cli_rejects_unknown_flag():
 def test_cli_rejects_bad_parameter_value(capsys):
     assert cli_main(["compute", "--t", "-1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "prefix,flag,value,rc",
+    [
+        (["compute", "--t", "1"], "--jx", "-1e-05", 0),
+        (["compute", "--t", "1"], "--jy", "-2E+0", 0),
+        (["compute", "--t", "1"], "--jz", "-1.5e0", 0),
+        (["compute", "--t", "1"], "--dz", "-1e-05", 0),
+        (["compute", "--t", "1"], "--gz", "-3e-1", 0),
+        (["compute", "--t", "1"], "--b", "-.5e1", 0),
+        (["compute", "--t", "1"], "--gamma", "-1e-1", 1),
+        (["compute", "--jz", "2"], "--t", "-1e0", 1),
+        (["sweep", "--var", "dz", "--to", "1e-3", "--steps", "2"], "--from", "-1e-3", 0),
+        (["sweep", "--var", "b", "--from", "-2e0", "--steps", "2"], "--to", "-1e-1", 0),
+        (["compute", "--t", "1"], "--d", "-1e-05", 0),
+        (["compute", "--t", "1", "--gamma", "0.5"], "--j", "-1e0", 1),
+    ],
+)
+def test_cli_negative_exponent_value_matches_equals_form(capsys, prefix, flag, value, rc):
+    """A separate negative value in exponent form parses like --flag=value.
+
+    Failures then come from the parameter checks (t > 0, gamma in [0, 1])
+    or from an ambiguous abbreviation, never from argparse taking the value
+    for an option.
+    """
+    assert cli_main(prefix + [flag, value]) == rc
+    split = capsys.readouterr()
+    assert cli_main(prefix + [f"{flag}={value}"]) == rc
+    joined = capsys.readouterr()
+    assert (split.out, split.err) == (joined.out, joined.err)
+    assert "expected one argument" not in split.err
 
 
 def test_cli_numerical_failures_exit_2(monkeypatch, capsys):

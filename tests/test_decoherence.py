@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qcorr.decoherence import (
-    DephasingParams,
     apply_dephasing,
     dephased_pt_eigen_closed,
     dephased_spectrum_closed,
@@ -54,15 +53,6 @@ def test_gamma_from_time_endpoints():
 def test_gamma_from_time_rejects_bad_input(rate, time):
     with pytest.raises(ValueError):
         gamma_from_time(rate, time)
-
-
-def test_dephasing_params():
-    dp = DephasingParams.from_rate_time(1.0, math.log(2.0))
-    assert dp.gamma == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        DephasingParams(gamma=1.5)
-    with pytest.raises(ValueError):
-        DephasingParams(gamma=-0.01)
 
 
 # ---------------------------------------------------------------------------

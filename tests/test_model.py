@@ -133,7 +133,6 @@ def test_scales_base_point():
     assert s.r1 == pytest.approx(math.sqrt(0.61), abs=1e-15)
     assert s.r2 == pytest.approx(math.sqrt(19.21), abs=1e-15)
     assert s.r3 == pytest.approx(3.1, abs=1e-15)
-    assert s.m1 == s.r2 and s.m2 == s.r3
     assert s.beta == 2.0
 
 
