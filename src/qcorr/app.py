@@ -1,9 +1,9 @@
 """Sweep driver, figure presets, audit serialization and diagnostics.
 
 A sweep evaluates the three quantifiers (negativity, LQU, LQFI) along one
-variable (dz, b, t or gamma) for a family of parameter series, always
-through the oracle pipeline.  Row order is deterministic: series-major in
-the order given, variable ascending inside each series.
+variable (dz, b, t or gamma) for a family of parameter series, through the
+closed-form ``quantifiers.canonical_triple``.  Row order is deterministic:
+series-major in the order given, variable ascending inside each series.
 
 The six figure presets reproduce the published parameter scans: quantifier
 versus dz for several temperatures at jz = +-2, versus field for several
@@ -25,13 +25,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audit import DiscrepancyReport
 from .model import ModelParams
-from .quantifiers import CONVENTIONS, correlations
+from .quantifiers import CONVENTIONS, canonical_triple
 
 __all__ = [
     "SweepSpec",
@@ -128,14 +130,16 @@ class SweepRow:
 def _sweep_point(spec: SweepSpec, label: str, base: ModelParams, x: float) -> SweepRow:
     try:
         if spec.variable == "gamma":
-            triple = correlations(base, gamma=x, convention=spec.convention)
+            triple = canonical_triple(base, gamma=x, convention=spec.convention)
         else:
             point = dataclasses.replace(base, **{spec.variable: x})
-            triple = correlations(point, convention=spec.convention)
+            triple = canonical_triple(point, convention=spec.convention)
     except Exception as exc:
-        raise type(exc)(
-            f"{exc} [series={label!r}, {spec.variable}={x!r}]"
-        ) from exc
+        # A PEP 678 note keeps the exception itself (type, args, attributes).
+        # add_note() needs Python 3.11; the attribute works on 3.10 as well.
+        note = f"[series={label!r}, {spec.variable}={x!r}]"
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        raise
     return SweepRow(
         variable=x,
         series=label,
@@ -148,10 +152,11 @@ def _sweep_point(spec: SweepSpec, label: str, base: ModelParams, x: float) -> Sw
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep; series-major, variable ascending, deterministic.
 
-    Every point goes through the oracle pipeline (thermal state by
-    eigendecomposition, then the channel if the variable is gamma).  A
-    failing point aborts the sweep with the offending series label and
-    variable value attached to the propagated error.
+    Every point goes through the closed-form ``canonical_triple`` (the
+    channel included when the variable is gamma); the dense
+    ``correlations`` route is the reference that tests check it against.
+    A failing point aborts the sweep: the original exception propagates
+    with a note naming the series label and variable value.
     """
     values = [float(x) for x in np.linspace(spec.start, spec.stop, spec.steps)]
     bases = [
@@ -220,36 +225,95 @@ def frozen_lqfi_windows(
     Frozen means the LQFI relative span (max - min over the window, divided
     by the largest magnitude in it) stays at or below freeze_frac while the
     negativity relative span exceeds active_frac.  Returns None for a
-    series with no such window.  Informational: it flags regions where
-    entanglement decays but the Fisher-information side barely moves.
+    series with no such window; among equally wide windows the one that
+    starts first wins.  Both fractions must lie in [0, 1).  Informational:
+    it flags regions where entanglement decays but the Fisher-information
+    side barely moves.
     """
-    labels: list[str] = []
+    for name, frac in (("freeze_frac", freeze_frac), ("active_frac", active_frac)):
+        if not 0.0 <= frac < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), got {frac!r}")
+    series: dict[str, list[SweepRow]] = {}
     for row in rows:
-        if row.series not in labels:
-            labels.append(row.series)
-    out: dict[str, tuple[float, float] | None] = {}
-    for label in labels:
-        pts = [r for r in rows if r.series == label]
-        pts.sort(key=lambda r: r.variable)
-        best: tuple[float, float] | None = None
-        best_width = 0.0
-        n = len(pts)
-        for i in range(n):
-            lq_lo = lq_hi = pts[i].lqfi
-            ng_lo = ng_hi = pts[i].negativity
-            for j in range(i + 1, n):
-                lq_lo = min(lq_lo, pts[j].lqfi)
-                lq_hi = max(lq_hi, pts[j].lqfi)
-                ng_lo = min(ng_lo, pts[j].negativity)
-                ng_hi = max(ng_hi, pts[j].negativity)
-                if ng_hi <= 0.0 or (ng_hi - ng_lo) / ng_hi <= active_frac:
-                    continue
-                lq_ref = max(abs(lq_lo), abs(lq_hi))
-                if lq_ref > 0.0 and (lq_hi - lq_lo) / lq_ref > freeze_frac:
-                    continue
-                width = pts[j].variable - pts[i].variable
-                if width > best_width:
-                    best_width = width
-                    best = (pts[i].variable, pts[j].variable)
-        out[label] = best
-    return out
+        series.setdefault(row.series, []).append(row)
+    return {
+        label: _widest_frozen_window(
+            sorted(pts, key=lambda r: r.variable), freeze_frac, active_frac
+        )
+        for label, pts in series.items()
+    }
+
+
+def _spans(lo: float, hi: float, ref: float, frac: float) -> bool:
+    """Whether the span hi - lo exceeds frac of a positive reference ref."""
+    return ref > 0.0 and (hi - lo) / ref > frac
+
+
+def _widest_frozen_window(
+    pts: list[SweepRow], freeze_frac: float, active_frac: float
+) -> tuple[float, float] | None:
+    """Two-pointer scan over one series sorted by variable, O(len(pts)).
+
+    With fractions below 1, widening a window can only raise both relative
+    spans past their fractions.  So from a given start the frozen ends form
+    a prefix, reaching ``end``, and the active ends a suffix: the widest
+    window from that start is [start, end] if it is active.  ``end`` never
+    moves left as ``start`` grows, and monotone deques of indices keep the
+    window's minima and maxima.
+    """
+    lq = [r.lqfi for r in pts]
+    ng = [r.negativity for r in pts]
+    lq_min: deque[int] = deque()
+    lq_max: deque[int] = deque()
+    ng_min: deque[int] = deque()
+    ng_max: deque[int] = deque()
+
+    def push(j: int) -> None:
+        for dq, vals, keeps in (
+            (lq_min, lq, operator.lt),
+            (lq_max, lq, operator.gt),
+            (ng_min, ng, operator.lt),
+            (ng_max, ng, operator.gt),
+        ):
+            while dq and not keeps(vals[dq[-1]], vals[j]):
+                dq.pop()
+            dq.append(j)
+
+    best: tuple[int, int] | None = None
+    best_width = 0.0
+    end = -1
+    for start in range(len(pts)):
+        for dq in (lq_min, lq_max, ng_min, ng_max):
+            if dq and dq[0] < start:
+                dq.popleft()
+        if end < start:
+            end = start
+            push(start)
+        while end + 1 < len(pts):
+            lq_lo = min(lq[lq_min[0]], lq[end + 1])
+            lq_hi = max(lq[lq_max[0]], lq[end + 1])
+            if _spans(lq_lo, lq_hi, max(abs(lq_lo), abs(lq_hi)), freeze_frac):
+                break
+            end += 1
+            push(end)
+        ng_lo, ng_hi = ng[ng_min[0]], ng[ng_max[0]]
+        if end == start or not _spans(ng_lo, ng_hi, ng_hi, active_frac):
+            continue
+        width = pts[end].variable - pts[start].variable
+        if width > best_width:
+            best_width = width
+            best = (start, end)
+    if best is None:
+        return None
+    # The first end from the winning start whose window is active and, in
+    # floating point, as wide: a narrower-looking end can tie on width.
+    start, end = best
+    ng_lo = ng_hi = ng[start]
+    for j in range(start + 1, end + 1):
+        ng_lo, ng_hi = min(ng_lo, ng[j]), max(ng_hi, ng[j])
+        if (
+            _spans(ng_lo, ng_hi, ng_hi, active_frac)
+            and pts[j].variable - pts[start].variable == best_width
+        ):
+            break
+    return pts[start].variable, pts[j].variable

@@ -30,7 +30,7 @@ from .app import (
 from .audit import AuditGrid, audit_formulas
 from .model import ModelParams, NotXStateError
 from .numkernel import NotHermitianError, NotPSDError
-from .quantifiers import CONVENTIONS, correlations
+from .quantifiers import CONVENTIONS, canonical_triple
 
 __all__ = ["cli_main", "main"]
 
@@ -78,6 +78,11 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _describe(exc: Exception) -> str:
+    """The message followed by the exception's notes (a sweep's failing point)."""
+    return " ".join([str(exc), *getattr(exc, "__notes__", ())])
+
+
 def _params_from(args: argparse.Namespace) -> ModelParams:
     return ModelParams(
         jx=args.jx, jy=args.jy, jz=args.jz, dz=args.dz, gz=args.gz, b=args.b, t=args.t
@@ -102,7 +107,9 @@ def _parse_series(raw: str) -> tuple[str, tuple[tuple[str, float], ...]]:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    triple = correlations(_params_from(args), gamma=args.gamma, convention=args.convention)
+    triple = canonical_triple(
+        _params_from(args), gamma=args.gamma, convention=args.convention
+    )
     print(f"negativity = {triple.negativity:.12g}")
     print(f"lqu = {triple.lqu:.12g}")
     print(f"lqfi = {triple.lqfi:.12g}")
@@ -222,10 +229,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (NotHermitianError, NotPSDError, NotXStateError, ArithmeticError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        print(f"numerical error: {_describe(exc)}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
 
 

@@ -36,18 +36,28 @@ from qcorr.model import (
     x_eigenvalues,
 )
 from qcorr.numkernel import partial_transpose_first
-from qcorr.quantifiers import correlations, lqfi, lqu, negativity, pt_eigen_closed
+from qcorr.quantifiers import (
+    canonical_triple,
+    correlations,
+    lqfi,
+    lqu,
+    negativity,
+    pt_eigen_closed,
+)
+
+# The production closed form and the dense reference route.
+ROUTES = (canonical_triple, correlations)
 
 GRID_COUNT = 1000
 GRID_SEED = 42
 
 FROZEN_SHA256 = {
-    "fig1_top": "969a512753deb85eae5a234a7eec29afdb0b6a0bb1f4442e338aca09531f3342",
-    "fig1_bottom": "5ddc9a9c97a8d41f11e7cd02da1bee549b1e60742d605c1952b1138da06b6ab7",
-    "fig2": "23a23f6a5b7812f90000081132662118fbc08509ec517fbb03d85bf6e86c00a7",
-    "fig3": "58ffd5b2b67925f6eddaa91978b8c8e7b65ba0d7078c8bd2077f4d2efc68c81b",
-    "fig4_top": "a87f5c88ebb1858b9d10e7dc38f782c4c733d1c023ceef46465358b8d30c26cb",
-    "fig4_bottom": "1225c448027847cd8224dbb48e4d092d0e9bea317e7a9685497aa0cc18d9831f",
+    "fig1_top": "73ce43d87b6b7dd1d05745698e82c622785678e719498681f7b308a54c5bf8f2",
+    "fig1_bottom": "9ab8c410618ea07eedbcb7e70751d3d214ce0b18144c2a1415fd448fcca8c832",
+    "fig2": "b891828d63d94f65e87e7ebac7c2721014df8c78226bd86d0da43be68f18b5db",
+    "fig3": "33636f9e0094c363fd9f9c805d0eab892a9955afcecbf67f92b60648d08c19de",
+    "fig4_top": "e262d2eecdfceacb1849e837ad21398d7a7443801381741c3c8ea3bae4850c3f",
+    "fig4_bottom": "6e1c5af2ecd8d9f27fd4125fe1bd7794c9ebea3762ceeaa02c1347a95c0af7c1",
 }
 
 # emit_json of the 1000-point, seed-42 audit report.
@@ -269,43 +279,38 @@ def test_criterion_6_hierarchy_and_ranges():
     """lqfi >= lqu - 1e-9 everywhere; all values stay inside their ranges."""
     min_margin = np.inf
     for p, gamma in shared_grid():
-        for trip in (correlations(p), correlations(p, gamma=gamma)):
+        trips = [route(p, gamma=g) for route in ROUTES for g in (None, gamma)]
+        for trip in trips:
             min_margin = min(min_margin, trip.lqfi - trip.lqu)
             assert 0.0 <= trip.negativity <= 0.5 + 1e-12
             for value in (trip.lqu, trip.lqfi):
                 assert -1e-10 <= value <= 1.0 + 1e-12
     assert min_margin >= -1e-9
-    print(f"criterion 6: min lqfi-lqu margin {min_margin:.2e} over {2 * GRID_COUNT} states")
+    print(
+        f"criterion 6: min lqfi-lqu margin {min_margin:.2e} over {2 * GRID_COUNT} states, "
+        f"{len(ROUTES)} routes"
+    )
 
 
 def test_criterion_7_even_in_dm_and_ksea_couplings():
     """Flipping the sign of dz or of gz leaves all three quantifiers alone."""
     base = dict(jx=-1.0, jy=-1.5, gz=0.3, b=1.5)
     offsets = np.linspace(0.3, 6.0, 20)
-    worst = 0.0
-    for jz in (2.0, -2.0):
-        for t in (0.5, 2.0):
-            for x in offsets:
-                plus = correlations(ModelParams(jz=jz, t=t, dz=x, **base))
-                minus = correlations(ModelParams(jz=jz, t=t, dz=-x, **base))
-                worst = max(
-                    worst,
-                    abs(plus.negativity - minus.negativity),
-                    abs(plus.lqu - minus.lqu),
-                    abs(plus.lqfi - minus.lqfi),
-                )
     ksea_base = dict(jx=-1.0, jy=-1.5, dz=1.8, b=1.5)
-    for jz in (2.0, -2.0):
-        for t in (0.5, 2.0):
-            for x in offsets:
-                plus = correlations(ModelParams(jz=jz, t=t, gz=x, **ksea_base))
-                minus = correlations(ModelParams(jz=jz, t=t, gz=-x, **ksea_base))
-                worst = max(
-                    worst,
-                    abs(plus.negativity - minus.negativity),
-                    abs(plus.lqu - minus.lqu),
-                    abs(plus.lqfi - minus.lqfi),
-                )
+    worst = 0.0
+    for route in ROUTES:
+        for jz in (2.0, -2.0):
+            for t in (0.5, 2.0):
+                for x in offsets:
+                    for fixed, coupling in ((base, "dz"), (ksea_base, "gz")):
+                        plus = route(ModelParams(jz=jz, t=t, **fixed, **{coupling: x}))
+                        minus = route(ModelParams(jz=jz, t=t, **fixed, **{coupling: -x}))
+                        worst = max(
+                            worst,
+                            abs(plus.negativity - minus.negativity),
+                            abs(plus.lqu - minus.lqu),
+                            abs(plus.lqfi - minus.lqfi),
+                        )
     assert worst <= 1e-10
     print(f"criterion 7: worst sign-flip asymmetry {worst:.2e}")
 
@@ -313,13 +318,14 @@ def test_criterion_7_even_in_dm_and_ksea_couplings():
 def test_criterion_8_strong_dm_saturation():
     """At dz = 25 all three quantifiers sit near their saturation plateaus."""
     p = ModelParams(jx=-1.0, jy=-1.5, jz=-2.0, dz=25.0, gz=0.3, b=1.0, t=1.5)
-    start = time.perf_counter()
-    trip = correlations(p)
-    elapsed = time.perf_counter() - start
-    assert trip.negativity >= 0.49
-    assert trip.lqu >= 0.95
-    assert trip.lqfi >= 0.95
-    assert elapsed < 1.0
+    for route in ROUTES:
+        start = time.perf_counter()
+        trip = route(p)
+        elapsed = time.perf_counter() - start
+        assert trip.negativity >= 0.49
+        assert trip.lqu >= 0.95
+        assert trip.lqfi >= 0.95
+        assert elapsed < 1.0
     print(
         f"criterion 8: negativity {trip.negativity:.6f}, lqu {trip.lqu:.6f}, "
         f"lqfi {trip.lqfi:.6f} in {elapsed * 1e3:.1f}ms"

@@ -132,9 +132,31 @@ def test_run_sweep_error_context(monkeypatch):
     def boom(p, gamma=None, convention="halved"):
         raise ValueError("synthetic failure")
 
-    monkeypatch.setattr("qcorr.app.correlations", boom)
+    monkeypatch.setattr("qcorr.app.canonical_triple", boom)
     with pytest.raises(ValueError, match=r"series='t=0.5', b=0.0"):
         run_sweep(mini_spec())
+
+
+class TwoArgumentError(ArithmeticError):
+    """An exception whose constructor does not take a single message."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+        self.code = code
+        self.detail = detail
+
+
+def test_run_sweep_error_keeps_the_exception(monkeypatch):
+    def boom(p, gamma=None, convention="halved"):
+        raise TwoArgumentError(7, "bad block")
+
+    monkeypatch.setattr("qcorr.app.canonical_triple", boom)
+    with pytest.raises(TwoArgumentError) as info:
+        run_sweep(mini_spec())
+    exc = info.value
+    assert type(exc) is TwoArgumentError
+    assert (exc.code, exc.detail, exc.args) == (7, "bad block", (7, "bad block"))
+    assert exc.__notes__ == ["[series='t=0.5', b=0.0]"]
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +431,19 @@ def test_cli_numerical_failures_exit_2(monkeypatch, capsys):
     def boom(p, gamma=None, convention="halved"):
         raise NotPSDError("synthetic")
 
-    monkeypatch.setattr("qcorr.cli.correlations", boom)
+    monkeypatch.setattr("qcorr.cli.canonical_triple", boom)
     assert cli_main(["compute", "--t", "1"]) == 2
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_cli_sweep_failure_names_the_point(monkeypatch, capsys):
+    def boom(p, gamma=None, convention="halved"):
+        raise NotPSDError("synthetic")
+
+    monkeypatch.setattr("qcorr.app.canonical_triple", boom)
+    argv = ["sweep", "--var", "b", "--from", "0", "--to", "1", "--steps", "2"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "numerical error: synthetic [series='t=1', b=0.0]\n"
 
 
 def test_cli_sweep_stdout(capsys):

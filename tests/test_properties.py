@@ -1,0 +1,121 @@
+"""Property tests: the closed-form engine over extreme inputs, and the
+frozen-LQFI window scan against its quadratic definition.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qcorr.app import SweepRow, frozen_lqfi_windows  # noqa: E402
+from qcorr.model import ModelParams  # noqa: E402
+from qcorr.quantifiers import canonical_triple  # noqa: E402
+
+couplings = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0]),
+    st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False),
+)
+temperatures = st.floats(1e-6, 1e6)
+gammas = st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    jx=couplings, jy=couplings, jz=couplings, dz=couplings, gz=couplings, b=couplings,
+    t=temperatures, gamma=gammas,
+)
+@example(  # Nearly pure: unbounded, LQU rounds to 1 + 2^-52 here.
+    jx=-3.479911751679796e97, jy=1.0, jz=2.5665798875280566e78, dz=-1.9378328130984575e-08,
+    gz=4.180543993370753e116, b=-1.286571375033178e107, t=0.011724381252620649, gamma=0.0,
+)
+def test_canonical_triple_stays_finite_and_in_range(jx, jy, jz, dz, gz, b, t, gamma):
+    trip = canonical_triple(ModelParams(jx=jx, jy=jy, jz=jz, dz=dz, gz=gz, b=b, t=t), gamma)
+    assert all(math.isfinite(v) for v in (trip.negativity, trip.lqu, trip.lqfi))
+    assert 0.0 <= trip.negativity <= 0.5
+    assert 0.0 <= trip.lqu <= 1.0
+    assert 0.0 <= trip.lqfi <= 1.0
+    assert trip.lqu <= trip.lqfi + 1e-15
+
+
+def quadratic_windows(rows, freeze_frac=0.05, active_frac=0.20):
+    """The O(n^2) definition of frozen_lqfi_windows: every window, widest first found."""
+    labels: list[str] = []
+    for row in rows:
+        if row.series not in labels:
+            labels.append(row.series)
+    out = {}
+    for label in labels:
+        pts = [r for r in rows if r.series == label]
+        pts.sort(key=lambda r: r.variable)
+        best = None
+        best_width = 0.0
+        n = len(pts)
+        for i in range(n):
+            lq_lo = lq_hi = pts[i].lqfi
+            ng_lo = ng_hi = pts[i].negativity
+            for j in range(i + 1, n):
+                lq_lo = min(lq_lo, pts[j].lqfi)
+                lq_hi = max(lq_hi, pts[j].lqfi)
+                ng_lo = min(ng_lo, pts[j].negativity)
+                ng_hi = max(ng_hi, pts[j].negativity)
+                if ng_hi <= 0.0 or (ng_hi - ng_lo) / ng_hi <= active_frac:
+                    continue
+                lq_ref = max(abs(lq_lo), abs(lq_hi))
+                if lq_ref > 0.0 and (lq_hi - lq_lo) / lq_ref > freeze_frac:
+                    continue
+                width = pts[j].variable - pts[i].variable
+                if width > best_width:
+                    best_width = width
+                    best = (pts[i].variable, pts[j].variable)
+        out[label] = best
+    return out
+
+
+values = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+rows = st.lists(
+    st.builds(
+        SweepRow,
+        variable=st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(-10.0, 10.0)),
+        series=st.sampled_from(["a", "b"]),
+        negativity=values,
+        lqu=st.just(0.0),
+        lqfi=values,
+    ),
+    max_size=60,
+)
+fractions = st.one_of(st.sampled_from([0.0, 0.05, 0.2]), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows, freeze_frac=fractions, active_frac=fractions)
+@example(
+    # Two ends whose widths tie in floating point: the first one wins.
+    rows=[
+        SweepRow(0.0, "b", 0.0, 0.0, 0.0),
+        SweepRow(5.554447570403781e-306, "b", 0.0, 0.0, 0.0),
+        SweepRow(-1.0, "b", 0.5, 0.0, 0.0),
+    ],
+    freeze_frac=0.0,
+    active_frac=0.0,
+)
+def test_window_scan_matches_quadratic_definition(rows, freeze_frac, active_frac):
+    assert frozen_lqfi_windows(rows, freeze_frac, active_frac) == quadratic_windows(
+        rows, freeze_frac, active_frac
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=rows)
+def test_window_scan_matches_at_default_fractions(rows):
+    assert frozen_lqfi_windows(rows) == quadratic_windows(rows)
+
+
+@pytest.mark.parametrize("kwargs", [{"freeze_frac": 1.0}, {"active_frac": -0.1}])
+def test_window_scan_rejects_fractions_outside_unit_interval(kwargs):
+    with pytest.raises(ValueError):
+        frozen_lqfi_windows([SweepRow(0.0, "a", 0.1, 0.0, 0.1)], **kwargs)

@@ -11,11 +11,13 @@ import math
 import numpy as np
 import pytest
 
+from qcorr.app import figure_preset
 from qcorr.decoherence import apply_dephasing
 from qcorr.model import ModelParams, remove_phases, thermal_state_oracle
 from qcorr.numkernel import NotPSDError, hermitian_eig, partial_transpose_first
 from qcorr.quantifiers import (
     CorrelationTriple,
+    canonical_triple,
     correlations,
     lqfi,
     lqu,
@@ -313,3 +315,139 @@ def test_correlations_even_in_dm_and_ksea_sign():
 def test_correlation_triple_is_plain_record():
     t = CorrelationTriple(negativity=0.1, lqu=0.2, lqfi=0.3)
     assert (t.negativity, t.lqu, t.lqfi) == (0.1, 0.2, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form canonical engine
+
+
+def seed42_grid(count):
+    """The first draws of the acceptance suite's seed-42 grid, with their gammas."""
+    rng = np.random.default_rng(42)
+    points = []
+    for _ in range(count):
+        jx, jy, jz, dz, gz, b = (float(x) for x in rng.uniform(-3.0, 3.0, size=6))
+        t = float(rng.uniform(0.1, 5.0))
+        gamma = float(rng.uniform(0.0, 1.0))
+        points.append((ModelParams(jx=jx, jy=jy, jz=jz, dz=dz, gz=gz, b=b, t=t), gamma))
+    return points
+
+
+def mp_dense_triple(mp, p, gamma=None):
+    """(negativity, LQU, LQFI) from dense matrices in mpmath, via mp.eighe.
+
+    Independent of the program: H is assembled from Pauli products, every
+    spectrum comes from mp.eighe/mp.eigsy, and LQU/LQFI are 1 minus the
+    largest eigenvalue of the full 3x3 W and M matrices.
+    """
+    pauli = {
+        "i": [[1, 0], [0, 1]],
+        "x": [[0, 1], [1, 0]],
+        "y": [[0, -1j], [1j, 0]],
+        "z": [[1, 0], [0, -1]],
+    }
+
+    def kron(a, b):
+        a, b = pauli[a], pauli[b]
+        return mp.matrix(
+            [[a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4)] for i in range(4)]
+        )
+
+    jx, jy, jz, dz, gz, b, t = (mp.mpf(getattr(p, f.name)) for f in dataclasses.fields(p))
+    h = (
+        jx * kron("x", "x")
+        + jy * kron("y", "y")
+        + jz * kron("z", "z")
+        + dz * (kron("y", "x") - kron("x", "y"))
+        - gz * (kron("x", "y") + kron("y", "x"))
+        + b * (kron("z", "i") + kron("i", "z"))
+    )
+    energies, vecs = mp.eighe(h)
+    weights = [mp.exp(-(e - min(energies)) / t) for e in energies]
+    rho = vecs * mp.diag([w / sum(weights) for w in weights]) * vecs.transpose_conj()
+    if gamma is not None:
+        for i in range(4):
+            for j in range(4):
+                if i // 2 != j // 2:
+                    rho[i, j] *= 1 - mp.mpf(gamma)
+    pt = mp.matrix(4, 4)
+    for i in range(4):
+        for j in range(4):
+            pt[i, j] = rho[2 * (j // 2) + i % 2, 2 * (i // 2) + j % 2]
+    neg = -sum(min(e, 0) for e in mp.eighe(pt, eigvals_only=True))
+    lam, vecs = mp.eighe(rho)
+    lam = [max(x, 0) for x in lam]
+    local = [kron(axis, "i") for axis in "xyz"]
+    root = vecs * mp.diag([mp.sqrt(x) for x in lam]) * vecs.transpose_conj()
+    root_local = [root * s for s in local]
+    basis = [vecs.transpose_conj() * s * vecs for s in local]
+    w = mp.matrix(3, 3)
+    m = mp.matrix(3, 3)
+    for i in range(3):
+        for j in range(3):
+            w[i, j] = mp.re(
+                sum(root_local[i][k, n] * root_local[j][n, k] for k in range(4) for n in range(4))
+            )
+            m[i, j] = mp.re(
+                sum(
+                    2 * lam[k] * lam[n] / (lam[k] + lam[n])
+                    * basis[i][k, n]
+                    * mp.conj(basis[j][k, n])
+                    for k in range(4)
+                    for n in range(4)
+                    if lam[k] + lam[n] > 0
+                )
+            )
+    lqu_ref = 1 - max(mp.eigsy(w, eigvals_only=True))
+    lqfi_ref = 1 - max(mp.eigsy(m, eigvals_only=True))
+    return neg, lqu_ref, lqfi_ref
+
+
+def test_canonical_triple_matches_50_digit_dense_reference():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    fig1 = dataclasses.replace(figure_preset("fig1_top").fixed, t=0.5, dz=-6.0)
+    cases = [(p, g) for p, gamma in seed42_grid(120) for g in (None, gamma)]
+    cases += [(fig1, None), (fig1, 1.0), (BASE, 1.0)]
+    worst = 0.0
+    for p, gamma in cases:
+        got = canonical_triple(p, gamma=gamma)
+        ref = mp_dense_triple(mp, p, gamma)
+        for value, exact in zip((got.negativity, got.lqu, got.lqfi), ref):
+            worst = max(worst, abs(float(value - exact)))
+    assert worst <= 1e-13
+    # The tolerance separates the routes: the dense LQU misses here by 2.4e-6.
+    dense_miss = abs(float(correlations(fig1).lqu - mp_dense_triple(mp, fig1)[1]))
+    assert dense_miss > 1e-13
+    assert f"{canonical_triple(fig1).lqu:.12g}" == "0.999997579997"
+
+
+def test_canonical_triple_golden_point():
+    triple = canonical_triple(BASE)
+    assert triple.negativity == pytest.approx(0.49997419461584375, abs=1e-15)
+    assert triple.lqu == pytest.approx(0.9936350236019751, abs=1e-15)
+    assert triple.lqfi == pytest.approx(0.9999354118986433, abs=1e-15)
+
+
+def test_canonical_triple_survives_an_empty_block():
+    # At T = 1e-3 the {|00>,|11>} block's weight underflows to zero.
+    cold = dataclasses.replace(BASE, t=1e-3)
+    for gamma in (None, 0.4, 1.0):
+        fast, dense = canonical_triple(cold, gamma=gamma), correlations(cold, gamma=gamma)
+        assert fast.negativity == pytest.approx(dense.negativity, abs=1e-12)
+        assert fast.lqu == pytest.approx(dense.lqu, abs=2e-5)
+        assert fast.lqfi == pytest.approx(dense.lqfi, abs=1e-12)
+
+
+def test_canonical_triple_conventions_and_gamma_checks():
+    halved = canonical_triple(BASE, gamma=0.3)
+    doubled = canonical_triple(BASE, gamma=0.3, convention="doubled")
+    assert doubled == CorrelationTriple(2.0 * halved.negativity, halved.lqu, halved.lqfi)
+    assert canonical_triple(BASE, gamma=0.0) == canonical_triple(BASE)
+    assert canonical_triple(BASE, gamma=1.0) == CorrelationTriple(0.0, 0.0, 0.0)
+    for gamma in (-0.1, 1.2, math.nan):
+        with pytest.raises(ValueError):
+            canonical_triple(BASE, gamma=gamma)
+    with pytest.raises(ValueError):
+        canonical_triple(BASE, convention="quartered")
