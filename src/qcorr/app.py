@@ -2,7 +2,7 @@
 
 A sweep evaluates the three quantifiers (negativity, LQU, LQFI) along one
 variable (dz, b, t or gamma) for a family of parameter series, through the
-closed-form ``quantifiers.canonical_triple``.  Row order is deterministic:
+closed-form ``engine.canonical_triple``.  Row order is deterministic:
 series-major in the order given, variable ascending inside each series.
 
 The six figure presets reproduce the published parameter scans: quantifier
@@ -28,12 +28,12 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .engine import CONVENTIONS, ModelParams, canonical_triple
 
-from .audit import DiscrepancyReport
-from .model import ModelParams
-from .quantifiers import CONVENTIONS, canonical_triple
+if TYPE_CHECKING:
+    from .audit import DiscrepancyReport
 
 __all__ = [
     "SweepSpec",
@@ -105,6 +105,11 @@ class SweepSpec:
                 raise ValueError(f"series value for {lbl!r} must be finite")
             if self.series_param == "t" and val <= 0.0:
                 raise ValueError(f"series temperature must be > 0, got {val}")
+        labels: set[str] = set()
+        for lbl, _ in series:
+            if lbl in labels:
+                raise ValueError(f"series label {lbl!r} appears more than once")
+            labels.add(lbl)
         object.__setattr__(self, "series", series)
         if self.convention not in CONVENTIONS:
             raise ValueError(
@@ -149,6 +154,24 @@ def _sweep_point(spec: SweepSpec, label: str, base: ModelParams, x: float) -> Sw
     )
 
 
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced values from start to stop, both included.
+
+    Bit for bit what ``numpy.linspace`` returns: start + i*step with the
+    last value set to stop, and, when the step underflows to zero, start +
+    (i/div)*delta instead, as numpy does for denormal ranges.
+    """
+    div = steps - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        values = [start + (i / div) * delta for i in range(div)]
+    else:
+        values = [start + i * step for i in range(div)]
+    values.append(stop)
+    return values
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep; series-major, variable ascending, deterministic.
 
@@ -158,7 +181,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     A failing point aborts the sweep: the original exception propagates
     with a note naming the series label and variable value.
     """
-    values = [float(x) for x in np.linspace(spec.start, spec.stop, spec.steps)]
+    values = _grid(spec.start, spec.stop, spec.steps)
     bases = [
         (label, dataclasses.replace(spec.fixed, **{spec.series_param: override}))
         for label, override in spec.series

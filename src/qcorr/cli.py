@@ -27,10 +27,14 @@ from .app import (
     frozen_lqfi_windows,
     run_sweep,
 )
-from .audit import AuditGrid, audit_formulas
-from .model import ModelParams, NotXStateError
-from .numkernel import NotHermitianError, NotPSDError
-from .quantifiers import CONVENTIONS, canonical_triple
+from .engine import (
+    CONVENTIONS,
+    ModelParams,
+    NotHermitianError,
+    NotPSDError,
+    NotXStateError,
+    canonical_triple,
+)
 
 __all__ = ["cli_main", "main"]
 
@@ -164,6 +168,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # The audit needs numpy; importing it here keeps the other commands'
+    # start-up free of it.
+    from .audit import AuditGrid, audit_formulas
+
     report = audit_formulas(AuditGrid(count=args.count, seed=args.seed))
     print(f"{'formula':<24}{'n':>6}{'max dev':>13}{'mean dev':>13}  verdict")
     for rec in report.records:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import ModelParams, _check_gamma
 from .model import (
-    ModelParams,
     block_pair,
     derived_scales,
     thermal_state_closed,
@@ -50,13 +50,6 @@ __all__ = [
 # Below this scale the coherence block is numerically diagonal and the
 # eigenvector slopes are replaced by their limits (the computational basis).
 _DEGENERATE_SLOPE_TOL = 1e-150
-
-
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-    return gamma
 
 
 @dataclass(frozen=True)

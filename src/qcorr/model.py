@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import NotHermitianError, gibbs_exp, hermitian_eig
+from .engine import ModelParams, NotHermitianError, NotXStateError
+from .numkernel import gibbs_exp
 
 __all__ = [
     "NotXStateError",
@@ -55,48 +56,9 @@ VARIANTS = ("corrected", "as_printed")
 _NON_X_ENTRIES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
 
-class NotXStateError(ValueError):
-    """Matrix has significant weight outside the X-state sparsity pattern."""
-
-
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-def _finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Couplings, field and temperature of the two-qubit chain.
-
-    jx, jy, jz : exchange couplings (energy units)
-    dz         : DM interaction strength along z
-    gz         : KSEA interaction strength along z
-    b          : magnetic field along z
-    t          : temperature (energy units, k_B = 1), strictly positive
-    """
-
-    jx: float
-    jy: float
-    jz: float
-    dz: float
-    gz: float
-    b: float
-    t: float
-
-    def __post_init__(self) -> None:
-        for name in ("jx", "jy", "jz", "dz", "gz", "b"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
-        t = _finite(self.t, "t")
-        if t <= 0.0:
-            raise ValueError(f"t must be > 0, got {t}")
-        object.__setattr__(self, "t", t)
 
 
 @dataclass(frozen=True)

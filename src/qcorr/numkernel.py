@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .engine import NotHermitianError, NotPSDError
+
 __all__ = [
     "NotHermitianError",
     "NotPSDError",
@@ -43,14 +45,6 @@ _SIGMA = {
 }
 
 _EYE2 = np.eye(2, dtype=complex)
-
-
-class NotHermitianError(ValueError):
-    """Input matrix deviates from its conjugate transpose beyond tolerance."""
-
-
-class NotPSDError(ValueError):
-    """Input matrix has an eigenvalue below the PSD clamp tolerance."""
 
 
 class EigResult(NamedTuple):

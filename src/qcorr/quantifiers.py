@@ -1,11 +1,11 @@
 """Quantum correlation quantifiers: negativity, LQU, and LQFI.
 
-Two routes evaluate them for the thermal (optionally dephased) state.
-``canonical_triple`` is the production route of sweeps, ``qcorr figures``
-and ``qcorr compute``: closed forms on the canonical X-state in plain
-``math``, with no matrix and no eigensolver.  ``correlations`` is the dense
-reference used by the tests and the benchmark: the oracle density matrix,
-diagonalized again by each of the functions below.
+This module is the dense reference route.  Sweeps, ``qcorr figures`` and
+``qcorr compute`` call ``engine.canonical_triple`` instead: closed forms on
+the canonical X-state in plain ``math``, with no matrix, no eigensolver and
+no numpy.  ``correlations`` is what the tests and the benchmark check that
+engine against: the oracle density matrix of the thermal (optionally
+dephased) state, diagonalized again by each of the functions below.
 
 The dense functions take a 4x4 density matrix (two qubits) and measure
 correlations with respect to the first qubit:
@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import _check_gamma, apply_dephasing
+from .decoherence import apply_dephasing
+from .engine import CorrelationTriple, ModelParams, NotPSDError, _check_convention
 from .model import (
-    ModelParams,
     block_pair,
     derived_scales,
     thermal_state_closed,
@@ -50,7 +50,6 @@ from .model import (
     _sinh_ratio,
 )
 from .numkernel import (
-    NotPSDError,
     embed_pauli_first,
     hermitian_eig,
     partial_transpose_first,
@@ -62,18 +61,13 @@ __all__ = [
     "PTSpectrum",
     "LquResult",
     "LqfiResult",
-    "CorrelationTriple",
     "negativity",
     "pt_eigen_closed",
     "lqu",
     "lqfi",
     "correlations",
-    "canonical_triple",
-    "CONVENTIONS",
     "LQFI_PAIR_CUTOFF",
 ]
-
-CONVENTIONS = ("halved", "doubled")
 
 # Eigenvalue pairs with lam_m + lam_n at or below this contribute nothing
 # to the LQFI spectral sum (the weight 2*lam_m*lam_n/(lam_m+lam_n) -> 0).
@@ -119,20 +113,6 @@ class LqfiResult:
     value: float
     m: np.ndarray
     lams: np.ndarray
-
-
-@dataclass(frozen=True)
-class CorrelationTriple:
-    """Negativity, LQU and LQFI of one state, in that order."""
-
-    negativity: float
-    lqu: float
-    lqfi: float
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
 
 
 def negativity(rho: np.ndarray, convention: str = "halved") -> float:
@@ -275,11 +255,11 @@ def correlations(
     """All three quantifiers of the thermal state by the dense route.
 
     This is the reference for tests and the benchmark, not what sweeps and
-    ``qcorr compute`` print (they call ``canonical_triple``).  The state
-    comes from the oracle (Jacobi eigendecomposition of the Hamiltonian);
-    with gamma set, the single-qubit dephasing channel is applied, and each
-    quantifier diagonalizes the dense 4x4 matrix again.  Its LQU carries
-    the eigenvalue clamp bias documented in ``lqu``.
+    ``qcorr compute`` print: they call ``engine.canonical_triple``.  The
+    state comes from the oracle (Jacobi eigendecomposition of the
+    Hamiltonian); with gamma set, the single-qubit dephasing channel is
+    applied, and each quantifier diagonalizes the dense 4x4 matrix again.
+    Its LQU carries the eigenvalue clamp bias documented in ``lqu``.
     """
     rho = thermal_state_oracle(p)
     if gamma is not None:
@@ -289,137 +269,3 @@ def correlations(
         lqu=lqu(rho).value,
         lqfi=lqfi(rho).value,
     )
-
-
-def _block_root(a: float, b: float, s: float, coh: float) -> tuple[float, float, float]:
-    """sqrt of the PSD block [[a, coh], [coh, b]] as (diagonal a, diagonal b, off).
-
-    s is sqrt(det); sqrt(M) = (M + s*I)/sqrt(tr M + 2s) (Higham, Functions
-    of Matrices, 2008).  An empty block (a = b = 0) has the zero root.
-    """
-    t = math.sqrt(a + b + 2.0 * s)
-    if t == 0.0:
-        return 0.0, 0.0, 0.0
-    return (a + s) / t, (b + s) / t, coh / t
-
-
-def _fisher_pair(a: float, b: float) -> float:
-    """(a - b)^2 / (a + b) for eigenvalues a, b >= 0; 0 when both vanish."""
-    total = a + b
-    return (a - b) * ((a - b) / total) if total > 0.0 else 0.0
-
-
-def canonical_triple(
-    p: ModelParams,
-    gamma: float | None = None,
-    convention: str = "halved",
-) -> CorrelationTriple:
-    """All three quantifiers of the thermal state in closed form.
-
-    Production route of sweeps and ``qcorr compute``; ``correlations`` is
-    the dense reference.  The state is taken in canonical X form (both
-    coherences real and >= 0), which local unitaries reach, so all three
-    values are those of the dense state.
-
-    Weights: the four levels jz -+ r3 ({|00>,|11>} block A) and -jz -+ r2
-    ({|01>,|10>} block B) are exponentiated relative to the lowest level,
-    so no finite input overflows.  Each block has the half-sum m and
-    half-difference d of its two weights; then u = d_A*r1/r3,
-    a2 = a3 = m_B, v = d_B, and a1, a4 weigh block A's lower and upper
-    level by (1 -+ 2b/r3)/2 and (1 +- 2b/r3)/2, the small factor written
-    as (r1/r3)*(r1/(r3 + 2|b|)) to keep its relative accuracy.  Dephasing
-    scales u and v by (1 - gamma); a block's determinant is then its weight
-    product plus gamma*(2 - gamma)*coh^2, and its small eigenvalue is
-    det/lam_plus.
-
-    LQU (Girolami, Tufarelli & Adesso, PRL 110, 240402 (2013)) and LQFI
-    (Kim, Li, Kumar & Wu, PRA 97, 032326 (2018)) both reduce to the
-    smallest diagonal entry of 1 - W and 1 - M, which are diagonal in
-    canonical form.  Each entry is kept as a sum of non-negative terms
-    instead of 1 minus a large number:
-
-    * LQU = min(4(q^2 + r^2), (p1 - p2)^2 + (p4 - p2)^2 + 2(q - r)^2) from
-      sqrt(rho) = [[p1, q], [q, p4]] + [[p2, r], [r, p2]] (the y entry never
-      wins for q, r >= 0);
-    * LQFI = min over x, y, z of sum (lam_m - lam_n)^2/(2(lam_m + lam_n))
-      * |sigma_mn|^2.  For z only within-block pairs count and the sum is
-      2u^2/m_A + 2v^2/m_B exactly.  x pairs the blocks, the (plus, plus)
-      and (minus, minus) pairs with weight (1 + sin 2theta_A)/2 and the
-      crossed ones with (1 - sin 2theta_A)/2, the latter written as
-      delta^2/(2h(h + u)) to avoid cancellation.  y swaps the two weights
-      and never wins: 2ab/(a + b) is supermodular, so the crossed pairs
-      carry the larger sum.
-
-    A block whose weight underflows to zero contributes nothing.
-    """
-    _check_convention(convention)
-    keep, spread = 1.0, 0.0
-    if gamma is not None:
-        g = _check_gamma(gamma)
-        keep, spread = 1.0 - g, g * (2.0 - g)
-
-    r1 = math.hypot(2.0 * p.gz, p.jx - p.jy)
-    r2 = math.hypot(2.0 * p.dz, p.jx + p.jy)
-    r3 = math.hypot(2.0 * p.gz, 2.0 * p.b, p.jx - p.jy)
-    t = p.t
-    low_a, low_b = p.jz - r3, -p.jz - r2
-    floor = min(low_a, low_b)
-    g_a = math.exp(-(low_a - floor) / t)
-    g_b = math.exp(-(low_b - floor) / t)
-    x_a, x_b = math.exp(-2.0 * r3 / t), math.exp(-2.0 * r2 / t)
-    z = g_a * (1.0 + x_a) + g_b * (1.0 + x_b)
-    # Each block's (lower-level, upper-level) weights, half-sum, half-difference.
-    wa0, wa1 = g_a / z, g_a * x_a / z
-    wb0, wb1 = g_b / z, g_b * x_b / z
-    m_a, d_a = (wa0 + wa1) / 2.0, -g_a * math.expm1(-2.0 * r3 / t) / (2.0 * z)
-    m_b, d_b = (wb0 + wb1) / 2.0, -g_b * math.expm1(-2.0 * r2 / t) / (2.0 * z)
-
-    if r3 > 0.0:
-        ratio = r1 / r3
-        small = ratio * (r1 / (r3 + 2.0 * abs(p.b)))  # 1 - 2|b|/r3
-        big = 1.0 + 2.0 * abs(p.b) / r3
-        delta = d_a * (2.0 * abs(p.b) / r3)  # |a1 - a4| / 2
-    else:
-        ratio, small, big, delta = 0.0, 1.0, 1.0, 0.0
-    pop_lo = (wa0 * small + wa1 * big) / 2.0  # min(a1, a4)
-    pop_hi = (wa0 * big + wa1 * small) / 2.0  # max(a1, a4)
-    u0 = d_a * ratio
-    u, v = keep * u0, keep * d_b
-
-    # Eigenvalues: lam_a, lam_b the larger of each block, mu_a, mu_b the smaller.
-    h = math.hypot(delta, u)
-    det_a = wa0 * wa1 + spread * u0 * u0
-    det_b = wb0 * wb1 + spread * d_b * d_b
-    lam_a = m_a + h
-    lam_b = m_b + v
-    mu_a = det_a / lam_a if lam_a > 0.0 else 0.0
-    mu_b = det_b / lam_b if lam_b > 0.0 else 0.0
-
-    neg = max(0.0, math.hypot(delta, v) - m_a) + max(0.0, u - m_b)
-    if convention == "doubled":
-        neg *= 2.0
-
-    s_a = math.hypot(math.sqrt(wa0) * math.sqrt(wa1), math.sqrt(spread) * u0)
-    s_b = math.hypot(math.sqrt(wb0) * math.sqrt(wb1), math.sqrt(spread) * d_b)
-    p1, p4, q = _block_root(pop_lo, pop_hi, s_a, u)
-    p2, _, r = _block_root(m_b, m_b, s_b, v)
-    # The exact LQU never exceeds 1; at nearly pure states the rounded sums
-    # can reach 1 + 2^-52 (13 of 300k random extreme inputs), which the
-    # bound removes.
-    lqu_value = min(
-        1.0,
-        4.0 * (q * q + r * r),
-        (p1 - p2) ** 2 + (p4 - p2) ** 2 + 2.0 * (q - r) ** 2,
-    )
-
-    if h > 0.0:
-        w_same, w_cross = (1.0 + u / h) / 2.0, (delta / h) * (delta / (h + u)) / 2.0
-    else:
-        w_same = w_cross = 0.5
-    same = _fisher_pair(lam_a, lam_b) + _fisher_pair(mu_a, mu_b)
-    cross = _fisher_pair(lam_a, mu_b) + _fisher_pair(mu_a, lam_b)
-    f_z = (2.0 * u * (u / m_a) if m_a > 0.0 else 0.0) + (
-        2.0 * v * (v / m_b) if m_b > 0.0 else 0.0
-    )
-    lqfi_value = min(w_same * same + w_cross * cross, f_z)
-    return CorrelationTriple(negativity=neg, lqu=lqu_value, lqfi=lqfi_value)

@@ -26,6 +26,7 @@ from qcorr.app import (
 )
 from qcorr.audit import AuditGrid, audit_formulas
 from qcorr.decoherence import apply_dephasing, dephased_pt_eigen_closed, dephased_spectrum_closed
+from qcorr.engine import canonical_triple
 from qcorr.model import (
     ModelParams,
     build_hamiltonian,
@@ -37,7 +38,6 @@ from qcorr.model import (
 )
 from qcorr.numkernel import partial_transpose_first
 from qcorr.quantifiers import (
-    canonical_triple,
     correlations,
     lqfi,
     lqu,

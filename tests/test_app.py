@@ -83,6 +83,13 @@ def test_spec_rejects_bad_series():
         mini_spec(variable="b", series_param="b", series=(("B=1", 1.0),))
 
 
+def test_spec_rejects_repeated_series_labels():
+    # Two different values that print the same label would merge into one
+    # series wherever rows are grouped by label (frozen_lqfi_windows).
+    with pytest.raises(ValueError, match="'t=1'"):
+        mini_spec(series=(("t=1", 1.0000001), ("t=1", 1.0000002)))
+
+
 def test_spec_rejects_bad_domains():
     with pytest.raises(ValueError):
         mini_spec(variable="t", start=0.0, stop=1.0)
@@ -479,6 +486,15 @@ def test_cli_sweep_out_file(tmp_path, capsys):
 def test_cli_sweep_rejects_malformed_series(capsys):
     rc = cli_main(["sweep", "--var", "b", "--from", "0", "--to", "1", "--series", "t:1,2"])
     assert rc == 1
+
+
+def test_cli_sweep_rejects_repeated_series_labels(capsys):
+    argv = ["sweep", "--var", "dz", "--from", "-1", "--to", "1", "--steps", "3",
+            "--series", "t=1.0000001,1.0000002"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'t=1'" in captured.err
 
 
 def test_cli_figures_single_preset(tmp_path, capsys):

@@ -1,20 +1,30 @@
-"""Property tests: the closed-form engine over extreme inputs, and the
-frozen-LQFI window scan against its quadratic definition.
+"""Property tests: the closed-form engine over extreme inputs, the sweep
+grid against numpy.linspace, and the frozen-LQFI window scan against its
+quadratic definition.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qcorr.app import SweepRow, frozen_lqfi_windows  # noqa: E402
+from qcorr.app import (  # noqa: E402
+    FIGURE_PRESETS,
+    SweepRow,
+    _grid,
+    figure_preset,
+    frozen_lqfi_windows,
+    run_sweep,
+)
+from qcorr.engine import canonical_triple  # noqa: E402
 from qcorr.model import ModelParams  # noqa: E402
-from qcorr.quantifiers import canonical_triple  # noqa: E402
 
 couplings = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 2.0]),
@@ -40,6 +50,41 @@ def test_canonical_triple_stays_finite_and_in_range(jx, jy, jz, dz, gz, b, t, ga
     assert 0.0 <= trip.lqu <= 1.0
     assert 0.0 <= trip.lqfi <= 1.0
     assert trip.lqu <= trip.lqfi + 1e-15
+
+
+def _bits(values):
+    """The IEEE bytes of a float sequence: equal bits, NaN signs included."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _linspace(start, stop, steps):
+    with np.errstate(all="ignore"):  # delta overflows to inf for the widest ranges
+        return [float(x) for x in np.linspace(start, stop, steps)]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ends=st.tuples(finite, finite).filter(lambda e: e[0] != e[1]), steps=st.integers(2, 2000))
+@example(ends=(-1.7976931348623157e308, 1.7976931348623157e308), steps=3)
+def test_sweep_grid_is_linspace_bit_for_bit(ends, steps):
+    start, stop = sorted(ends)
+    assert _bits(_grid(start, stop, steps)) == _bits(_linspace(start, stop, steps))
+
+
+@pytest.mark.parametrize(
+    "start, stop, steps", [(0.0, 5e-324, 301), (-5e-324, 5e-324, 7), (1e-320, 1.1e-320, 2000)]
+)
+def test_sweep_grid_copies_the_denormal_branch(start, stop, steps):
+    assert _bits(_grid(start, stop, steps)) == _bits(_linspace(start, stop, steps))
+
+
+@pytest.mark.parametrize("name", FIGURE_PRESETS)
+def test_preset_sweep_rows_use_the_linspace_grid(name):
+    spec = figure_preset(name)
+    expected = _linspace(spec.start, spec.stop, spec.steps) * len(spec.series)
+    assert _bits([row.variable for row in run_sweep(spec)]) == _bits(expected)
 
 
 def quadratic_windows(rows, freeze_frac=0.05, active_frac=0.20):

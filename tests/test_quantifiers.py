@@ -13,11 +13,10 @@ import pytest
 
 from qcorr.app import figure_preset
 from qcorr.decoherence import apply_dephasing
+from qcorr.engine import CorrelationTriple, canonical_triple
 from qcorr.model import ModelParams, remove_phases, thermal_state_oracle
 from qcorr.numkernel import NotPSDError, hermitian_eig, partial_transpose_first
 from qcorr.quantifiers import (
-    CorrelationTriple,
-    canonical_triple,
     correlations,
     lqfi,
     lqu,
