@@ -2,8 +2,9 @@
 
 A sweep evaluates the three quantifiers (negativity, LQU, LQFI) along one
 variable (dz, b, t or gamma) for a family of parameter series, through the
-closed-form ``engine.canonical_triple``.  Row order is deterministic:
-series-major in the order given, variable ascending inside each series.
+closed-form state and quantifier stages of ``engine``.  Row order is
+deterministic: series-major in the order given, variable ascending inside
+each series.
 
 The six figure presets reproduce the published parameter scans: quantifier
 versus dz for several temperatures at jz = +-2, versus field for several
@@ -30,7 +31,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .engine import CONVENTIONS, ModelParams, canonical_triple
+from .engine import (
+    CONVENTIONS,
+    ModelParams,
+    _check_param,
+    canonical_state,
+    state_triple,
+)
 
 if TYPE_CHECKING:
     from .audit import DiscrepancyReport
@@ -132,28 +139,6 @@ class SweepRow:
     lqfi: float
 
 
-def _sweep_point(spec: SweepSpec, label: str, base: ModelParams, x: float) -> SweepRow:
-    try:
-        if spec.variable == "gamma":
-            triple = canonical_triple(base, gamma=x, convention=spec.convention)
-        else:
-            point = dataclasses.replace(base, **{spec.variable: x})
-            triple = canonical_triple(point, convention=spec.convention)
-    except Exception as exc:
-        # A PEP 678 note keeps the exception itself (type, args, attributes).
-        # add_note() needs Python 3.11; the attribute works on 3.10 as well.
-        note = f"[series={label!r}, {spec.variable}={x!r}]"
-        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-        raise
-    return SweepRow(
-        variable=x,
-        series=label,
-        negativity=triple.negativity,
-        lqu=triple.lqu,
-        lqfi=triple.lqfi,
-    )
-
-
 def _grid(start: float, stop: float, steps: int) -> list[float]:
     """``steps`` evenly spaced values from start to stop, both included.
 
@@ -175,18 +160,45 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep; series-major, variable ascending, deterministic.
 
-    Every point goes through the closed-form ``canonical_triple`` (the
-    channel included when the variable is gamma); the dense
+    Every point goes through the two closed-form stages of ``engine``
+    (the channel included when the variable is gamma); the dense
     ``correlations`` route is the reference that tests check it against.
-    A failing point aborts the sweep: the original exception propagates
-    with a note naming the series label and variable value.
+    Each series' parameters are validated once.  On a gamma scan the
+    thermal state is built once per series and only the quantifier stage
+    runs per point; on a dz, b or t scan each point checks its value as
+    ``ModelParams`` would and runs both stages.  A failing point aborts the
+    sweep: the original exception propagates with a note naming the series
+    label and variable value (the first grid value when a gamma scan's
+    state fails).
     """
     values = _grid(spec.start, spec.stop, spec.steps)
+    var, convention = spec.variable, spec.convention
     bases = [
         (label, dataclasses.replace(spec.fixed, **{spec.series_param: override}))
         for label, override in spec.series
     ]
-    return [_sweep_point(spec, label, base, x) for label, base in bases for x in values]
+    rows: list[SweepRow] = []
+    for label, base in bases:
+        couplings = [getattr(base, name) for name in _PARAM_FIELDS]
+        x = values[0]
+        try:
+            if var == "gamma":
+                state = canonical_state(*couplings)
+                for x in values:
+                    rows.append(SweepRow(x, label, *state_triple(state, x, convention)))
+            else:
+                slot = _PARAM_FIELDS.index(var)
+                for x in values:
+                    couplings[slot] = _check_param(var, x)
+                    triple = state_triple(canonical_state(*couplings), None, convention)
+                    rows.append(SweepRow(x, label, *triple))
+        except Exception as exc:
+            # A PEP 678 note keeps the exception itself (type, args, attributes).
+            # add_note() needs Python 3.11; the attribute works on 3.10 as well.
+            note = f"[series={label!r}, {var}={x!r}]"
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+            raise
+    return rows
 
 
 _T_SERIES = tuple((f"T={v:g}", v) for v in (0.5, 1.0, 1.5, 2.0))

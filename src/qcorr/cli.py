@@ -170,7 +170,16 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # The audit needs numpy; importing it here keeps the other commands'
     # start-up free of it.
-    from .audit import AuditGrid, audit_formulas
+    try:
+        from .audit import AuditGrid, audit_formulas
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(
+            f"error: qcorr verify needs numpy, which cannot be imported ({exc})",
+            file=sys.stderr,
+        )
+        return 1
 
     report = audit_formulas(AuditGrid(count=args.count, seed=args.seed))
     print(f"{'formula':<24}{'n':>6}{'max dev':>13}{'mean dev':>13}  verdict")

@@ -4,17 +4,21 @@
 module, and it imports only the standard library, so those commands start
 without loading numpy.  It holds the model parameters, the error classes
 and argument checks shared with the dense layers (``model``,
-``numkernel``, ``quantifiers``, ``decoherence``), and
-``canonical_triple``: negativity, LQU and LQFI of the thermal
-(optionally dephased) state from closed forms on the canonical X-state.
-The dense route in ``quantifiers.correlations`` is the reference it is
-tested against.
+``numkernel``, ``quantifiers``, ``decoherence``), and the closed forms of
+negativity, LQU and LQFI of the thermal (optionally dephased) state on
+the canonical X-state, in two stages: the state stage
+``canonical_state`` turns the seven couplings into Boltzmann weights and
+block quantities, and the quantifier stage ``state_triple`` applies the
+dephasing and evaluates the three quantifiers.  ``canonical_triple`` is
+their composition.  The dense route in ``quantifiers.correlations`` is
+the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "NotHermitianError",
@@ -22,7 +26,10 @@ __all__ = [
     "NotXStateError",
     "ModelParams",
     "CorrelationTriple",
+    "CanonicalState",
     "CONVENTIONS",
+    "canonical_state",
+    "state_triple",
     "canonical_triple",
 ]
 
@@ -45,6 +52,14 @@ def _finite(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_param(name: str, value: float) -> float:
+    """A model parameter as a float: finite, and > 0 for the temperature t."""
+    value = _finite(value, name)
+    if name == "t" and value <= 0.0:
+        raise ValueError(f"t must be > 0, got {value}")
     return value
 
 
@@ -80,12 +95,8 @@ class ModelParams:
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("jx", "jy", "jz", "dz", "gz", "b"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
-        t = _finite(self.t, "t")
-        if t <= 0.0:
-            raise ValueError(f"t must be > 0, got {t}")
-        object.__setattr__(self, "t", t)
+        for name in ("jx", "jy", "jz", "dz", "gz", "b", "t"):
+            object.__setattr__(self, name, _check_param(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -115,28 +126,92 @@ def _fisher_pair(a: float, b: float) -> float:
     return (a - b) * ((a - b) / total) if total > 0.0 else 0.0
 
 
-def canonical_triple(
-    p: ModelParams,
+class CanonicalState(NamedTuple):
+    """The thermal state in canonical X form, as the state stage returns it.
+
+    Block A is {|00>, |11>}, block B {|01>, |10>}.  m_a, m_b are each
+    block's half-sum of weights; det_a, det_b the product of its two
+    weights and root_a, root_b that product's square root; u0 and d_b the
+    A and B coherences before dephasing; pop_lo, pop_hi the smaller and
+    larger of the A populations a1, a4, and delta half their difference.
+    """
+
+    m_a: float
+    m_b: float
+    d_b: float
+    u0: float
+    delta: float
+    pop_lo: float
+    pop_hi: float
+    det_a: float
+    det_b: float
+    root_a: float
+    root_b: float
+
+
+def canonical_state(
+    jx: float, jy: float, jz: float, dz: float, gz: float, b: float, t: float
+) -> CanonicalState:
+    """State stage: the canonical thermal state at seven checked couplings.
+
+    The four levels jz -+ r3 (block A) and -jz -+ r2 (block B) are
+    exponentiated relative to the lowest level, so no finite input
+    overflows.  Each block has the half-sum m and half-difference d of its
+    two weights; then u0 = d_A*r1/r3, a2 = a3 = m_B, and a1, a4 weigh block
+    A's lower and upper level by (1 -+ 2b/r3)/2 and (1 +- 2b/r3)/2, the
+    small factor written as (r1/r3)*(r1/(r3 + 2|b|)) to keep its relative
+    accuracy.  The inputs are not validated: ``ModelParams`` (or the sweep's
+    per-point check) does that.
+    """
+    r1 = math.hypot(2.0 * gz, jx - jy)
+    r2 = math.hypot(2.0 * dz, jx + jy)
+    r3 = math.hypot(2.0 * gz, 2.0 * b, jx - jy)
+    low_a, low_b = jz - r3, -jz - r2
+    floor = min(low_a, low_b)
+    g_a = math.exp(-(low_a - floor) / t)
+    g_b = math.exp(-(low_b - floor) / t)
+    e_a, e_b = -2.0 * r3 / t, -2.0 * r2 / t
+    x_a, x_b = math.exp(e_a), math.exp(e_b)
+    z = g_a * (1.0 + x_a) + g_b * (1.0 + x_b)
+    # Each block's (lower-level, upper-level) weights, half-sum, half-difference.
+    wa0, wa1 = g_a / z, g_a * x_a / z
+    wb0, wb1 = g_b / z, g_b * x_b / z
+    d_a = -g_a * math.expm1(e_a) / (2.0 * z)
+    d_b = -g_b * math.expm1(e_b) / (2.0 * z)
+
+    if r3 > 0.0:
+        ratio = r1 / r3
+        small = ratio * (r1 / (r3 + 2.0 * abs(b)))  # 1 - 2|b|/r3
+        big = 1.0 + 2.0 * abs(b) / r3
+        delta = d_a * (2.0 * abs(b) / r3)  # |a1 - a4| / 2
+    else:
+        ratio, small, big, delta = 0.0, 1.0, 1.0, 0.0
+    # Positional: keyword arguments would double the cost of this call.
+    return CanonicalState(
+        (wa0 + wa1) / 2.0,  # m_a
+        (wb0 + wb1) / 2.0,  # m_b
+        d_b,
+        d_a * ratio,  # u0
+        delta,
+        (wa0 * small + wa1 * big) / 2.0,  # pop_lo = min(a1, a4)
+        (wa0 * big + wa1 * small) / 2.0,  # pop_hi = max(a1, a4)
+        wa0 * wa1,  # det_a
+        wb0 * wb1,  # det_b
+        math.sqrt(wa0) * math.sqrt(wa1),  # root_a
+        math.sqrt(wb0) * math.sqrt(wb1),  # root_b
+    )
+
+
+def state_triple(
+    state: CanonicalState,
     gamma: float | None = None,
     convention: str = "halved",
-) -> CorrelationTriple:
-    """All three quantifiers of the thermal state in closed form.
+) -> tuple[float, float, float]:
+    """Quantifier stage: (negativity, LQU, LQFI) of a canonical state.
 
-    Production route of sweeps and ``qcorr compute``; ``correlations`` is
-    the dense reference.  The state is taken in canonical X form (both
-    coherences real and >= 0), which local unitaries reach, so all three
-    values are those of the dense state.
-
-    Weights: the four levels jz -+ r3 ({|00>,|11>} block A) and -jz -+ r2
-    ({|01>,|10>} block B) are exponentiated relative to the lowest level,
-    so no finite input overflows.  Each block has the half-sum m and
-    half-difference d of its two weights; then u = d_A*r1/r3,
-    a2 = a3 = m_B, v = d_B, and a1, a4 weigh block A's lower and upper
-    level by (1 -+ 2b/r3)/2 and (1 +- 2b/r3)/2, the small factor written
-    as (r1/r3)*(r1/(r3 + 2|b|)) to keep its relative accuracy.  Dephasing
-    scales u and v by (1 - gamma); a block's determinant is then its weight
-    product plus gamma*(2 - gamma)*coh^2, and its small eigenvalue is
-    det/lam_plus.
+    Dephasing scales the coherences u0 and d_b by (1 - gamma); a block's
+    determinant is then its weight product plus gamma*(2 - gamma)*coh^2,
+    and its small eigenvalue is det/lam_plus.
 
     LQU (Girolami, Tufarelli & Adesso, PRL 110, 240402 (2013)) and LQFI
     (Kim, Li, Kumar & Wu, PRA 97, 032326 (2018)) both reduce to the
@@ -163,39 +238,13 @@ def canonical_triple(
     if gamma is not None:
         g = _check_gamma(gamma)
         keep, spread = 1.0 - g, g * (2.0 - g)
-
-    r1 = math.hypot(2.0 * p.gz, p.jx - p.jy)
-    r2 = math.hypot(2.0 * p.dz, p.jx + p.jy)
-    r3 = math.hypot(2.0 * p.gz, 2.0 * p.b, p.jx - p.jy)
-    t = p.t
-    low_a, low_b = p.jz - r3, -p.jz - r2
-    floor = min(low_a, low_b)
-    g_a = math.exp(-(low_a - floor) / t)
-    g_b = math.exp(-(low_b - floor) / t)
-    x_a, x_b = math.exp(-2.0 * r3 / t), math.exp(-2.0 * r2 / t)
-    z = g_a * (1.0 + x_a) + g_b * (1.0 + x_b)
-    # Each block's (lower-level, upper-level) weights, half-sum, half-difference.
-    wa0, wa1 = g_a / z, g_a * x_a / z
-    wb0, wb1 = g_b / z, g_b * x_b / z
-    m_a, d_a = (wa0 + wa1) / 2.0, -g_a * math.expm1(-2.0 * r3 / t) / (2.0 * z)
-    m_b, d_b = (wb0 + wb1) / 2.0, -g_b * math.expm1(-2.0 * r2 / t) / (2.0 * z)
-
-    if r3 > 0.0:
-        ratio = r1 / r3
-        small = ratio * (r1 / (r3 + 2.0 * abs(p.b)))  # 1 - 2|b|/r3
-        big = 1.0 + 2.0 * abs(p.b) / r3
-        delta = d_a * (2.0 * abs(p.b) / r3)  # |a1 - a4| / 2
-    else:
-        ratio, small, big, delta = 0.0, 1.0, 1.0, 0.0
-    pop_lo = (wa0 * small + wa1 * big) / 2.0  # min(a1, a4)
-    pop_hi = (wa0 * big + wa1 * small) / 2.0  # max(a1, a4)
-    u0 = d_a * ratio
+    m_a, m_b, d_b, u0, delta, pop_lo, pop_hi, det_a, det_b, root_a, root_b = state
     u, v = keep * u0, keep * d_b
 
     # Eigenvalues: lam_a, lam_b the larger of each block, mu_a, mu_b the smaller.
     h = math.hypot(delta, u)
-    det_a = wa0 * wa1 + spread * u0 * u0
-    det_b = wb0 * wb1 + spread * d_b * d_b
+    det_a += spread * u0 * u0
+    det_b += spread * d_b * d_b
     lam_a = m_a + h
     lam_b = m_b + v
     mu_a = det_a / lam_a if lam_a > 0.0 else 0.0
@@ -205,8 +254,8 @@ def canonical_triple(
     if convention == "doubled":
         neg *= 2.0
 
-    s_a = math.hypot(math.sqrt(wa0) * math.sqrt(wa1), math.sqrt(spread) * u0)
-    s_b = math.hypot(math.sqrt(wb0) * math.sqrt(wb1), math.sqrt(spread) * d_b)
+    s_a = math.hypot(root_a, math.sqrt(spread) * u0)
+    s_b = math.hypot(root_b, math.sqrt(spread) * d_b)
     p1, p4, q = _block_root(pop_lo, pop_hi, s_a, u)
     p2, _, r = _block_root(m_b, m_b, s_b, v)
     # The exact LQU never exceeds 1; at nearly pure states the rounded sums
@@ -228,4 +277,24 @@ def canonical_triple(
         2.0 * v * (v / m_b) if m_b > 0.0 else 0.0
     )
     lqfi_value = min(w_same * same + w_cross * cross, f_z)
-    return CorrelationTriple(negativity=neg, lqu=lqu_value, lqfi=lqfi_value)
+    return neg, lqu_value, lqfi_value
+
+
+def canonical_triple(
+    p: ModelParams,
+    gamma: float | None = None,
+    convention: str = "halved",
+) -> CorrelationTriple:
+    """All three quantifiers of the thermal state in closed form.
+
+    Production route of sweeps and ``qcorr compute``; ``correlations`` is
+    the dense reference.  The state is taken in canonical X form (both
+    coherences real and >= 0), which local unitaries reach, so all three
+    values are those of the dense state.  It is the composition of the two
+    stages: ``canonical_state`` builds the Boltzmann weights and block
+    quantities of ``p``, and ``state_triple`` dephases them by ``gamma``
+    and evaluates negativity, LQU and LQFI.  A sweep over gamma runs the
+    state stage once per series.
+    """
+    state = canonical_state(p.jx, p.jy, p.jz, p.dz, p.gz, p.b, p.t)
+    return CorrelationTriple(*state_triple(state, gamma, convention))

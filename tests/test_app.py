@@ -19,6 +19,7 @@ from qcorr.app import (
 )
 from qcorr.audit import FORMULA_IDS, AuditGrid, DiscrepancyReport, audit_formulas
 from qcorr.cli import cli_main
+from qcorr.engine import canonical_state
 from qcorr.model import ModelParams
 from qcorr.numkernel import NotPSDError
 
@@ -136,10 +137,10 @@ def test_run_sweep_gamma_decay():
 
 
 def test_run_sweep_error_context(monkeypatch):
-    def boom(p, gamma=None, convention="halved"):
+    def boom(state, gamma=None, convention="halved"):
         raise ValueError("synthetic failure")
 
-    monkeypatch.setattr("qcorr.app.canonical_triple", boom)
+    monkeypatch.setattr("qcorr.app.state_triple", boom)
     with pytest.raises(ValueError, match=r"series='t=0.5', b=0.0"):
         run_sweep(mini_spec())
 
@@ -154,16 +155,52 @@ class TwoArgumentError(ArithmeticError):
 
 
 def test_run_sweep_error_keeps_the_exception(monkeypatch):
-    def boom(p, gamma=None, convention="halved"):
+    def boom(state, gamma=None, convention="halved"):
         raise TwoArgumentError(7, "bad block")
 
-    monkeypatch.setattr("qcorr.app.canonical_triple", boom)
+    monkeypatch.setattr("qcorr.app.state_triple", boom)
     with pytest.raises(TwoArgumentError) as info:
         run_sweep(mini_spec())
     exc = info.value
     assert type(exc) is TwoArgumentError
     assert (exc.code, exc.detail, exc.args) == (7, "bad block", (7, "bad block"))
     assert exc.__notes__ == ["[series='t=0.5', b=0.0]"]
+
+
+# -1e308 + 0*inf: the grid's first value is nan, which the point check rejects.
+OVERFLOWING_DZ = ["sweep", "--var", "dz", "--from", "-1e308", "--to", "1e308", "--steps", "3"]
+
+
+def test_run_sweep_overflowing_grid_names_the_point():
+    spec = mini_spec(variable="dz", start=-1e308, stop=1e308, series=(("t=1", 1.0),))
+    with pytest.raises(ValueError) as info:
+        run_sweep(spec)
+    assert info.value.args == ("dz must be finite, got nan",)
+    assert info.value.__notes__ == ["[series='t=1', dz=nan]"]
+
+
+def test_run_sweep_gamma_state_failure_names_the_first_point(monkeypatch):
+    def boom(*couplings):
+        raise TwoArgumentError(3, "bad state")
+
+    monkeypatch.setattr("qcorr.app.canonical_state", boom)
+    with pytest.raises(TwoArgumentError) as info:
+        run_sweep(mini_spec(variable="gamma", start=0.25, stop=1.0, steps=4))
+    assert info.value.args == (3, "bad state")
+    assert info.value.__notes__ == ["[series='t=0.5', gamma=0.25]"]
+
+
+def test_run_sweep_builds_one_state_per_gamma_series(monkeypatch):
+    calls = []
+
+    def counted(*couplings):
+        calls.append(couplings)
+        return canonical_state(*couplings)
+
+    monkeypatch.setattr("qcorr.app.canonical_state", counted)
+    rows = run_sweep(mini_spec(variable="gamma", start=0.0, stop=1.0, steps=11))
+    assert len(rows) == 22
+    assert calls == [(-1.0, -1.5, 2.0, 1.8, 0.3, 0.0, 0.5), (-1.0, -1.5, 2.0, 1.8, 0.3, 0.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +481,20 @@ def test_cli_numerical_failures_exit_2(monkeypatch, capsys):
 
 
 def test_cli_sweep_failure_names_the_point(monkeypatch, capsys):
-    def boom(p, gamma=None, convention="halved"):
+    def boom(state, gamma=None, convention="halved"):
         raise NotPSDError("synthetic")
 
-    monkeypatch.setattr("qcorr.app.canonical_triple", boom)
+    monkeypatch.setattr("qcorr.app.state_triple", boom)
     argv = ["sweep", "--var", "b", "--from", "0", "--to", "1", "--steps", "2"]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == "numerical error: synthetic [series='t=1', b=0.0]\n"
+
+
+def test_cli_sweep_overflowing_grid_names_the_point(capsys):
+    assert cli_main(OVERFLOWING_DZ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dz must be finite, got nan [series='t=1', dz=nan]\n"
 
 
 def test_cli_sweep_stdout(capsys):

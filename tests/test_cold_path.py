@@ -1,9 +1,10 @@
 """The production commands start without numpy.
 
 ``compute``, ``sweep`` and ``figures`` run on ``qcorr.engine``, which needs
-only the standard library; ``verify`` and the dense reference import numpy.
-pytest has already imported numpy, so each command runs in a fresh
-interpreter that reports whether numpy got loaded.
+only the standard library; ``verify`` and the dense reference import numpy,
+and without it ``verify`` exits 1 with a one-line error.  pytest has already
+imported numpy, so each command runs in a fresh interpreter that reports
+whether numpy got loaded.
 """
 
 from __future__ import annotations
@@ -31,16 +32,20 @@ print(code, "numpy" in sys.modules, file=sys.stderr)
 """
 
 
-def _run_fresh(argv: list[str], cwd: Path) -> tuple[int, bool]:
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+def _run_script(script: str, argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=120,
-        check=True,
     )
+
+
+def _run_fresh(argv: list[str], cwd: Path) -> tuple[int, bool]:
+    proc = _run_script(PROBE, argv, cwd)
+    proc.check_returncode()
     code, loaded = proc.stderr.strip().splitlines()[-1].split()
     return int(code), loaded == "True"
 
@@ -62,6 +67,15 @@ def test_production_commands_leave_numpy_unimported(argv, tmp_path):
 
 def test_verify_imports_numpy_and_exits_zero(tmp_path):
     assert _run_fresh(["verify", "--count", "100"], tmp_path) == (0, True)
+
+
+def test_verify_without_numpy_prints_one_error_line(tmp_path):
+    script = "import sys\nsys.modules['numpy'] = None\nfrom qcorr.cli import main\nmain()\n"
+    proc = _run_script(script, ["verify", "--count", "100"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: qcorr verify needs numpy, which cannot be imported (")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith(")\n")
 
 
 def test_verify_numerical_failure_still_exits_2(monkeypatch, capsys):

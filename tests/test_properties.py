@@ -1,10 +1,11 @@
-"""Property tests: the closed-form engine over extreme inputs, the sweep
-grid against numpy.linspace, and the frozen-LQFI window scan against its
-quadratic definition.
+"""Property tests: the closed-form engine over extreme inputs, sweep rows
+against the engine at each point, the sweep grid against numpy.linspace,
+and the frozen-LQFI window scan against its quadratic definition.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -17,13 +18,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qcorr.app import (  # noqa: E402
     FIGURE_PRESETS,
+    SWEEP_VARIABLES,
     SweepRow,
+    SweepSpec,
     _grid,
     figure_preset,
     frozen_lqfi_windows,
     run_sweep,
 )
-from qcorr.engine import canonical_triple  # noqa: E402
+from qcorr.engine import CONVENTIONS, canonical_triple  # noqa: E402
 from qcorr.model import ModelParams  # noqa: E402
 
 couplings = st.one_of(
@@ -55,6 +58,51 @@ def test_canonical_triple_stays_finite_and_in_range(jx, jy, jz, dz, gz, b, t, ga
 def _bits(values):
     """The IEEE bytes of a float sequence: equal bits, NaN signs included."""
     return struct.pack(f"<{len(values)}d", *values)
+
+
+def _ends(values):
+    """Two distinct values of a strategy, ascending."""
+    return st.tuples(values, values).filter(lambda e: e[0] != e[1]).map(sorted)
+
+
+# Sweep ranges and series values per parameter, all inside each domain.
+DOMAINS = {
+    "dz": st.floats(-1e200, 1e200),
+    "b": st.floats(-1e200, 1e200),
+    "t": temperatures,
+    "gamma": st.floats(0.0, 1.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    jx=couplings, jy=couplings, jz=couplings, dz=couplings, gz=couplings, b=couplings,
+    t=temperatures, variable=st.sampled_from(SWEEP_VARIABLES),
+    convention=st.sampled_from(CONVENTIONS), steps=st.integers(2, 9), data=st.data(),
+)
+def test_sweep_rows_are_the_engine_at_each_point(
+    jx, jy, jz, dz, gz, b, t, variable, convention, steps, data
+):
+    series_param = "b" if variable == "t" else "t"
+    start, stop = data.draw(_ends(DOMAINS[variable]))
+    overrides = data.draw(st.lists(DOMAINS[series_param], min_size=1, max_size=2))
+    fixed = ModelParams(jx=jx, jy=jy, jz=jz, dz=dz, gz=gz, b=b, t=t)
+    series = tuple((f"s{i}", v) for i, v in enumerate(overrides))
+    spec = SweepSpec(variable, start, stop, steps, fixed, series_param, series, convention)
+    expected = []
+    for label, override in series:
+        base = dataclasses.replace(fixed, **{series_param: override})
+        for x in _grid(start, stop, steps):
+            if variable == "gamma":
+                trip = canonical_triple(base, gamma=x, convention=convention)
+            else:
+                trip = canonical_triple(dataclasses.replace(base, **{variable: x}), convention=convention)
+            expected.append((label, [x, trip.negativity, trip.lqu, trip.lqfi]))
+    rows = run_sweep(spec)
+    assert [row.series for row in rows] == [label for label, _ in expected]
+    assert _bits([v for row in rows for v in (row.variable, row.negativity, row.lqu, row.lqfi)]) == (
+        _bits([v for _, values in expected for v in values])
+    )
 
 
 def _linspace(start, stop, steps):
