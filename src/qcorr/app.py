@@ -29,7 +29,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import (
     CONVENTIONS,
@@ -128,8 +128,7 @@ class SweepSpec:
             raise ValueError("gamma sweeps must stay within [0, 1]")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep point: the variable value, its series label, the triple."""
 
     variable: float

@@ -1,12 +1,13 @@
 """Numerical audit of the published closed forms against the oracle.
 
-Every closed-form expression this package carries in ``as_printed`` form is
-evaluated on a seeded random parameter grid and compared against a
-reference computed from first principles (Hamiltonian eigendecomposition,
-brute-force channel application, exact 2x2 block eigenvalues of the
-resulting matrices).  Each formula gets one DiscrepancyRecord with the
-maximum and mean absolute deviation over the grid; a record is consistent
-when its maximum deviation stays at or below CONSISTENCY_TOL.
+Every published closed form that ``model``, ``quantifiers`` and
+``decoherence`` carry verbatim is evaluated on a seeded random parameter
+grid and compared against a reference computed from first principles
+(Hamiltonian eigendecomposition, brute-force channel application, exact
+2x2 block eigenvalues of the resulting matrices).  Each formula gets one
+DiscrepancyRecord with the maximum and mean absolute deviation over the
+grid; a record is consistent when its maximum deviation stays at or below
+CONSISTENCY_TOL.
 
 The point is to quantify typos rather than hide them: a cosh where a sinh
 belongs (the |01>/|10> coherence), a sign flip in a phase or an exponent,
@@ -200,30 +201,24 @@ def audit_formulas(grid: AuditGrid | None = None) -> DiscrepancyReport:
         rho = gibbs_exp(ham, beta)
         r11, r22 = rho[0, 0].real, rho[1, 1].real
         r33, r44 = rho[2, 2].real, rho[3, 3].real
-        state, phases = thermal_state_closed(p, "as_printed")
+        state = thermal_state_closed(p)
         devs["Eq7_rho11"].append(abs(state.a1 - r11))
-        devs["Eq8_rho14"].append(
-            abs(state.u * np.exp(1j * phases.phi14) - rho[0, 3])
-        )
-        devs["Eq9_rho22_rho33"].append(
-            max(abs(state.a2 - r22), abs(state.a3 - r33))
-        )
-        devs["Eq10_rho23"].append(
-            abs(state.v * np.exp(1j * phases.phi23) - rho[1, 2])
-        )
+        devs["Eq8_rho14"].append(abs(state.u * np.exp(1j * state.phi14) - rho[0, 3]))
+        devs["Eq9_rho22_rho33"].append(max(abs(state.a2 - r22), abs(state.a2 - r33)))
+        devs["Eq10_rho23"].append(abs(state.v * np.exp(1j * state.phi23) - rho[1, 2]))
         devs["Eq11_rho44"].append(abs(state.a4 - r44))
         devs["Eq16_abs_rho14"].append(abs(state.u - abs(rho[0, 3])))
         devs["Eq17_abs_rho23"].append(abs(state.v - abs(rho[1, 2])))
 
         lo23, hi23 = block_pair(r22, r33, abs(rho[1, 2]))
         lo14, hi14 = block_pair(r11, r44, abs(rho[0, 3]))
-        xp = x_eigenvalues(state, scales=s, variant="as_printed", params=p)
-        devs["Eq18_eta12"].append(_pair_dev(xp.eta1, xp.eta2, lo23, hi23))
-        devs["Eq19_eta34"].append(_pair_dev(xp.eta3, xp.eta4, lo14, hi14))
+        eta1, eta2, eta3, eta4, xi = x_eigenvalues(p, s)
+        devs["Eq18_eta12"].append(_pair_dev(eta1, eta2, lo23, hi23))
+        devs["Eq19_eta34"].append(_pair_dev(eta3, eta4, lo14, hi14))
         # xi enters eta1/eta2 only through xi/r2, whose exact counterpart is
         # sinh(beta*r2); normalize by cosh to keep the record finite at
         # large beta*r2.
-        xi_ratio = xp.xi / s.r2 if s.r2 > 0.0 else 0.0
+        xi_ratio = xi / s.r2 if s.r2 > 0.0 else 0.0
         devs["Eq20_xi"].append(
             abs(xi_ratio - math.sinh(beta * s.r2)) / math.cosh(beta * s.r2)
         )
@@ -232,12 +227,12 @@ def audit_formulas(grid: AuditGrid | None = None) -> DiscrepancyReport:
         pt_lo12, pt_hi12 = block_pair(r11, r44, abs(rho[1, 2]))
         pt_lo34, pt_hi34 = block_pair(r22, r33, abs(rho[0, 3]))
         try:
-            ptp = pt_eigen_closed(p, "as_printed")
+            e1, e2, e3, e4 = pt_eigen_closed(p)
         except ValueError:
             pass
         else:
-            devs["Eq23_e12"].append(_pair_dev(ptp.e1, ptp.e2, pt_lo12, pt_hi12))
-            devs["Eq25_e34"].append(_pair_dev(ptp.e3, ptp.e4, pt_lo34, pt_hi34))
+            devs["Eq23_e12"].append(_pair_dev(e1, e2, pt_lo12, pt_hi12))
+            devs["Eq25_e34"].append(_pair_dev(e3, e4, pt_lo34, pt_hi34))
 
         # Printed Kraus pair: sqrt(gamma)*diag(1,0) and sqrt(gamma)*diag(0,1)
         # on the first qubit.  Their completeness sum is gamma * identity.
@@ -263,27 +258,19 @@ def audit_formulas(grid: AuditGrid | None = None) -> DiscrepancyReport:
 
         dlo23, dhi23 = block_pair(r22, r33, abs(rho_dc[1, 2]))
         dlo14, dhi14 = block_pair(r11, r44, abs(rho_dc[0, 3]))
-        dsp = dephased_spectrum_closed(p, gamma, "as_printed")
-        devs["Eq60_eta12_DC"].append(
-            _pair_dev(dsp.etas[0], dsp.etas[1], dlo23, dhi23)
-        )
-        devs["Eq62_eta34_DC"].append(
-            _pair_dev(dsp.etas[2], dsp.etas[3], dlo14, dhi14)
-        )
+        eta1, eta2, eta3, eta4 = dephased_spectrum_closed(p, gamma)
+        devs["Eq60_eta12_DC"].append(_pair_dev(eta1, eta2, dlo23, dhi23))
+        devs["Eq62_eta34_DC"].append(_pair_dev(eta3, eta4, dlo14, dhi14))
 
         dpt_lo12, dpt_hi12 = block_pair(r11, r44, abs(rho_dc[1, 2]))
         dpt_lo34, dpt_hi34 = block_pair(r22, r33, abs(rho_dc[0, 3]))
         try:
-            dpt = dephased_pt_eigen_closed(p, gamma, "as_printed")
+            e1, e2, e3, e4 = dephased_pt_eigen_closed(p, gamma)
         except ValueError:
             pass
         else:
-            devs["Eq69_e12_DC"].append(
-                _pair_dev(dpt.es[0], dpt.es[1], dpt_lo12, dpt_hi12)
-            )
-            devs["Eq71_e34_DC"].append(
-                _pair_dev(dpt.es[2], dpt.es[3], dpt_lo34, dpt_hi34)
-            )
+            devs["Eq69_e12_DC"].append(_pair_dev(e1, e2, dpt_lo12, dpt_hi12))
+            devs["Eq71_e34_DC"].append(_pair_dev(e3, e4, dpt_lo34, dpt_hi34))
 
     # Caption conflict: the ferromagnetic panel is captioned jz = +2 but the
     # analysis convention for that regime is jz = -2.

@@ -32,7 +32,6 @@ from .engine import (
     ModelParams,
     NotHermitianError,
     NotPSDError,
-    NotXStateError,
     canonical_triple,
 )
 
@@ -245,7 +244,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (NotHermitianError, NotPSDError, NotXStateError, ArithmeticError) as exc:
+    except (NotHermitianError, NotPSDError, ArithmeticError) as exc:
         print(f"numerical error: {_describe(exc)}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

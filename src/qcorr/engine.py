@@ -23,7 +23,6 @@ from typing import NamedTuple
 __all__ = [
     "NotHermitianError",
     "NotPSDError",
-    "NotXStateError",
     "ModelParams",
     "CorrelationTriple",
     "CanonicalState",
@@ -35,6 +34,10 @@ __all__ = [
 
 CONVENTIONS = ("halved", "doubled")
 
+# The smallest positive float: a subnormal temperature that the overflow
+# rescaling of ``canonical_state`` would round to zero stays at this.
+_TINY = math.ulp(0.0)
+
 
 class NotHermitianError(ValueError):
     """Input matrix deviates from its conjugate transpose beyond tolerance."""
@@ -42,10 +45,6 @@ class NotHermitianError(ValueError):
 
 class NotPSDError(ValueError):
     """Input matrix has an eigenvalue below the PSD clamp tolerance."""
-
-
-class NotXStateError(ValueError):
-    """Matrix has significant weight outside the X-state sparsity pattern."""
 
 
 def _finite(value: float, name: str) -> float:
@@ -162,11 +161,22 @@ def canonical_state(
     small factor written as (r1/r3)*(r1/(r3 + 2|b|)) to keep its relative
     accuracy.  The inputs are not validated: ``ModelParams`` (or the sweep's
     per-point check) does that.
+
+    Couplings near the float maximum can overflow 2*r2, 2*r3 or the gap
+    between the blocks' lowest levels.  The state depends on H/T only, so
+    it is then evaluated at all seven inputs divided by 32: the checked sum
+    stays below 18 times the float maximum, so one rescaling makes it
+    finite, and the divisions are exact outside the subnormal range.
     """
     r1 = math.hypot(2.0 * gz, jx - jy)
     r2 = math.hypot(2.0 * dz, jx + jy)
     r3 = math.hypot(2.0 * gz, 2.0 * b, jx - jy)
     low_a, low_b = jz - r3, -jz - r2
+    if not 2.0 * (r2 + r3) + abs(low_a - low_b) < math.inf:
+        s = 1.0 / 32.0
+        return canonical_state(
+            jx * s, jy * s, jz * s, dz * s, gz * s, b * s, max(t * s, _TINY)
+        )
     floor = min(low_a, low_b)
     g_a = math.exp(-(low_a - floor) / t)
     g_b = math.exp(-(low_b - floor) / t)

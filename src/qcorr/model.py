@@ -1,22 +1,19 @@
 """Two-qubit XYZ Heisenberg chain with z-axis DM and KSEA couplings in a field.
 
 The model lives in the product basis {|00>, |01>, |10>, |11>} with natural
-units (hbar = k_B = 1, beta = 1/T).  Two routes produce the thermal Gibbs
-state:
+units (hbar = k_B = 1, beta = 1/T).  The Hamiltonian, its closed-form
+spectrum and the oracle Gibbs state (eigendecomposition of the Hamiltonian,
+robust for any finite parameters) are the first-principles reference.
 
-* an oracle route (eigendecomposition of the Hamiltonian, robust for any
-  finite parameters), and
-* closed-form matrix elements, available in two variants.  ``corrected``
-  follows from the 2x2 block exponentials and matches the oracle to machine
-  precision.  ``as_printed`` evaluates the published form of the same
-  elements verbatim; a few of those carry typos (a cosh that should be a
-  sinh, a stray sqrt(2)), and keeping them callable is what lets the audit
-  module quantify each discrepancy instead of silently fixing it.
+``thermal_state_closed`` and ``x_eigenvalues`` evaluate the published
+closed forms of the thermal state's elements and eigenvalues verbatim.  A
+few of them carry misprints (a cosh that should be a sinh, a stray
+sqrt(2), a flipped sign), and keeping them as printed is what lets the
+audit module quantify each discrepancy instead of silently fixing it.
+The production closed form is ``engine.canonical_state``.
 
 The thermal state is always of X shape: the only nonzero off-diagonal
-entries connect |00> with |11> and |01> with |10>.  Local phase rotations on
-each qubit remove the phases of those two coherences, so every quantifier
-downstream only ever needs the populations and the coherence magnitudes.
+entries connect |00> with |11> and |01> with |10>.
 """
 
 from __future__ import annotations
@@ -24,41 +21,25 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine import ModelParams, NotHermitianError, NotXStateError
+from .engine import ModelParams
 from .numkernel import gibbs_exp
 
 __all__ = [
-    "NotXStateError",
     "ModelParams",
     "DerivedScales",
-    "XState",
-    "PhaseInfo",
-    "XSpectrum",
+    "PrintedState",
     "build_hamiltonian",
     "closed_spectrum",
     "derived_scales",
     "thermal_state_oracle",
     "thermal_state_closed",
-    "remove_phases",
     "x_eigenvalues",
     "block_pair",
-    "X_STRUCTURE_TOL",
-    "VARIANTS",
 ]
-
-X_STRUCTURE_TOL = 1e-12
-VARIANTS = ("corrected", "as_printed")
-
-# Off-diagonal index pairs that must vanish for an X-shaped operator.
-_NON_X_ENTRIES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -79,73 +60,21 @@ class DerivedScales:
     beta: float
 
 
-@dataclass(frozen=True)
-class XState:
-    """Canonical (phase-free) X-state: populations plus coherence magnitudes.
+class PrintedState(NamedTuple):
+    """Published thermal elements: populations, coherence magnitudes, phases.
 
-    a1..a4 are the populations of |00>, |01>, |10>, |11>; u = |rho_14| links
-    |00> and |11>, v = |rho_23| links |01> and |10>.
+    a1, a2 (= a3), a4 are the populations of |00>, |01> (and |10>), |11>;
+    u = |rho_14| with phase phi14 and v = |rho_23| with phase phi23, each
+    phase in (-pi, pi] and zero where its coherence vanishes.
     """
 
     a1: float
     a2: float
-    a3: float
     a4: float
     u: float
     v: float
-
-    def __post_init__(self) -> None:
-        pops = (self.a1, self.a2, self.a3, self.a4)
-        total = sum(pops)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"populations must sum to 1, got {total!r}")
-        if min(pops) < -1e-12:
-            raise ValueError(f"negative population: {min(pops)!r}")
-        if self.u < 0.0 or self.v < 0.0:
-            raise ValueError("coherence magnitudes must be >= 0")
-        if self.u * self.u > self.a1 * self.a4 + 1e-12:
-            raise ValueError("u^2 exceeds a1*a4: |00>/|11> block not PSD")
-        if self.v * self.v > self.a2 * self.a3 + 1e-12:
-            raise ValueError("v^2 exceeds a2*a3: |01>/|10> block not PSD")
-
-    def to_matrix(self, phases: "PhaseInfo | None" = None) -> np.ndarray:
-        """Assemble the 4x4 density matrix, optionally restoring phases."""
-        mat = np.zeros((4, 4), dtype=complex)
-        mat[0, 0], mat[1, 1], mat[2, 2], mat[3, 3] = self.a1, self.a2, self.a3, self.a4
-        c14 = self.u * cmath.exp(1j * phases.phi14) if phases else complex(self.u)
-        c23 = self.v * cmath.exp(1j * phases.phi23) if phases else complex(self.v)
-        mat[0, 3] = c14
-        mat[3, 0] = c14.conjugate()
-        mat[1, 2] = c23
-        mat[2, 1] = c23.conjugate()
-        return mat
-
-
-@dataclass(frozen=True)
-class PhaseInfo:
-    """Coherence phases removed by the local unitary, each in (-pi, pi]."""
-
     phi14: float
     phi23: float
-
-
-@dataclass(frozen=True)
-class XSpectrum:
-    """Eigenvalues of an X-state; xi is a diagnostic scalar (audit only).
-
-    The corrected variant fills xi with NaN (it has no role there); the
-    as_printed variant stores the published xi auxiliary so audits can see
-    the quantity that actually entered eta1 and eta2.
-    """
-
-    eta1: float
-    eta2: float
-    eta3: float
-    eta4: float
-    xi: float
-
-    def etas(self) -> np.ndarray:
-        return np.array([self.eta1, self.eta2, self.eta3, self.eta4])
 
 
 def _principal_angle(z: complex) -> float:
@@ -226,25 +155,16 @@ def thermal_state_oracle(p: ModelParams) -> np.ndarray:
     return gibbs_exp(build_hamiltonian(p), 1.0 / p.t)
 
 
-def thermal_state_closed(
-    p: ModelParams, variant: str = "corrected"
-) -> tuple[XState, PhaseInfo]:
-    """Closed-form thermal state elements as (XState, PhaseInfo).
+def thermal_state_closed(p: ModelParams) -> PrintedState:
+    """The published thermal state elements, verbatim.
 
-    Populations are the same in both variants.  The |00>/|11> coherence is
-    u = r1 * exp(-beta*jz) * sinh(beta*r3) / (r3*Z) in both.  The |01>/|10>
-    coherence differs:
-
-    * corrected: v = exp(beta*jz) * sinh(beta*r2) / Z, phase from
-      -(jx+jy) + 2i*dz — this is what the block exponential gives;
-    * as_printed: v carries a cosh^2 term under the radical,
-      sqrt(4*dz^2*cosh^2 + (jx+jy)^2*sinh^2)/r2, which only agrees with the
-      oracle at dz = 0.
-
-    The as_printed phase of the |00>/|11> coherence also flips the sign of
-    its imaginary part; magnitudes agree either way.
+    Populations and the |00>/|11> coherence u = r1 * exp(-beta*jz) *
+    sinh(beta*r3) / (r3*Z) are exact.  The |01>/|10> coherence carries a
+    cosh^2 term under the radical, sqrt(4*dz^2*cosh^2 + (jx+jy)^2*sinh^2)/r2,
+    which only agrees with the oracle at dz = 0 (exact: sinh(beta*r2)).
+    The printed phase of the |00>/|11> coherence flips the sign of its
+    imaginary part; its magnitude is unaffected.
     """
-    _check_variant(variant)
     s = derived_scales(p)
     beta, z = s.beta, s.z
     ej = math.exp(beta * p.jz)
@@ -254,114 +174,54 @@ def thermal_state_closed(
     ch3 = math.cosh(beta * s.r3)
     sr3 = _sinh_ratio(beta, s.r3)
 
-    a1 = emj * (ch3 - 2.0 * p.b * sr3) / z
-    a4 = emj * (ch3 + 2.0 * p.b * sr3) / z
-    a2 = ej * ch2 / z
     u = s.r1 * emj * sr3 / z
-
-    if variant == "corrected":
-        v = ej * sh2 / z
-        phi14 = _principal_angle(complex(-(p.jx - p.jy), -2.0 * p.gz))
-        phi23 = _principal_angle(complex(-(p.jx + p.jy), 2.0 * p.dz))
+    if s.r2 > 0.0:
+        v = ej * math.hypot(2.0 * p.dz * ch2, (p.jx + p.jy) * sh2) / (s.r2 * z)
     else:
-        if s.r2 > 0.0:
-            v = ej * math.hypot(2.0 * p.dz * ch2, (p.jx + p.jy) * sh2) / (s.r2 * z)
-        else:
-            v = 0.0
-        phi14 = _principal_angle(complex(-(p.jx - p.jy), 2.0 * p.gz))
-        phi23 = _principal_angle(complex(-(p.jx + p.jy) * sh2, 2.0 * p.dz * ch2))
-
-    if u == 0.0:
-        phi14 = 0.0
-    if v == 0.0:
-        phi23 = 0.0
-    return XState(a1=a1, a2=a2, a3=a2, a4=a4, u=u, v=v), PhaseInfo(phi14, phi23)
-
-
-def remove_phases(rho: np.ndarray) -> tuple[XState, PhaseInfo]:
-    """Strip coherence phases from an X-shaped density matrix.
-
-    The returned XState is the canonical form reached by the diagonal local
-    unitary that rotates both coherences onto the positive real axis; the
-    PhaseInfo records the removed phases (each in (-pi, pi]).  Populations
-    are untouched.
-    """
-    arr = np.asarray(rho, dtype=complex)
-    if arr.shape != (4, 4):
-        raise ValueError(f"rho must be 4x4, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("rho contains non-finite entries")
-    herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm_dev > 1e-10:
-        raise NotHermitianError(
-            f"rho is not Hermitian: max |rho - rho^H| = {herm_dev:.3e}"
-        )
-    worst = 0.0
-    worst_idx = (0, 1)
-    for i, j in _NON_X_ENTRIES:
-        mag = abs(arr[i, j])
-        if mag > worst:
-            worst, worst_idx = mag, (i, j)
-    if worst > X_STRUCTURE_TOL:
-        raise NotXStateError(
-            f"entry {worst_idx} has magnitude {worst:.3e} > {X_STRUCTURE_TOL:.1e}; "
-            "not an X-state"
-        )
-    state = XState(
-        a1=arr[0, 0].real,
-        a2=arr[1, 1].real,
-        a3=arr[2, 2].real,
-        a4=arr[3, 3].real,
-        u=abs(arr[0, 3]),
-        v=abs(arr[1, 2]),
+        v = 0.0
+    phi14 = _principal_angle(complex(-(p.jx - p.jy), 2.0 * p.gz)) if u != 0.0 else 0.0
+    phi23 = (
+        _principal_angle(complex(-(p.jx + p.jy) * sh2, 2.0 * p.dz * ch2))
+        if v != 0.0
+        else 0.0
     )
-    phases = PhaseInfo(
-        phi14=_principal_angle(arr[0, 3]) if abs(arr[0, 3]) > 0.0 else 0.0,
-        phi23=_principal_angle(arr[1, 2]) if abs(arr[1, 2]) > 0.0 else 0.0,
+    return PrintedState(
+        a1=emj * (ch3 - 2.0 * p.b * sr3) / z,
+        a2=ej * ch2 / z,
+        a4=emj * (ch3 + 2.0 * p.b * sr3) / z,
+        u=u,
+        v=v,
+        phi14=phi14,
+        phi23=phi23,
     )
-    return state, phases
 
 
 def x_eigenvalues(
-    x: XState,
-    scales: DerivedScales | None = None,
-    variant: str = "corrected",
-    params: ModelParams | None = None,
-) -> XSpectrum:
-    """Eigenvalues of an X-state.
+    p: ModelParams, scales: DerivedScales
+) -> tuple[float, float, float, float, float]:
+    """The published thermal eigenvalues, verbatim, as (eta1..eta4, xi).
 
-    corrected: exact 2x2 block eigenvalues of the assembled matrix —
-    eta1,2 from the {|01>,|10>} block, eta3,4 from the {|00>,|11>} block,
-    each pair ordered (minus, plus).  Works for any XState and needs
-    neither ``scales`` nor ``params``.
-
-    as_printed: evaluates the published eta expressions, whose eta1,2 use
-    the auxiliary xi = sqrt(4*dz^2 - (jx+jy)^2 + r2^2*cosh(2*beta*r2));
-    that xi is too large by a factor sqrt(2) (and carries the cosh/sinh
-    mixup), which the audit quantifies.  This variant needs both ``scales``
-    and ``params`` because xi and the exp(-beta*(r3 +- jz)) pair are not
-    functions of the XState alone.
+    eta1, eta2 belong to the {|01>,|10>} block and use the auxiliary
+    xi = sqrt(4*dz^2 - (jx+jy)^2 + r2^2*cosh(2*beta*r2)); that xi is too
+    large by a factor sqrt(2) (and carries the cosh/sinh mixup).  eta3,
+    eta4 = exp(-beta*(r3 +- jz))/Z belong to the {|00>,|11>} block; the
+    second has the sign of its exponent flipped.  ``scales`` are those of
+    ``p``.  xi is returned so the audit can see the quantity that entered
+    eta1 and eta2.
     """
-    _check_variant(variant)
-    if variant == "corrected":
-        eta1, eta2 = block_pair(x.a2, x.a3, x.v)
-        eta3, eta4 = block_pair(x.a1, x.a4, x.u)
-        return XSpectrum(eta1=eta1, eta2=eta2, eta3=eta3, eta4=eta4, xi=math.nan)
-    if scales is None or params is None:
-        raise ValueError("as_printed x_eigenvalues needs both scales and params")
     beta, z, r2, r3 = scales.beta, scales.z, scales.r2, scales.r3
-    ej = math.exp(beta * params.jz)
+    ej = math.exp(beta * p.jz)
     ch2 = math.cosh(beta * r2)
-    jxy = params.jx + params.jy
+    jxy = p.jx + p.jy
     # The argument is >= 8*dz^2 in exact arithmetic; clamp roundoff dust.
     xi = math.sqrt(
-        max(4.0 * params.dz**2 - jxy**2 + r2 * r2 * math.cosh(2.0 * beta * r2), 0.0)
+        max(4.0 * p.dz**2 - jxy**2 + r2 * r2 * math.cosh(2.0 * beta * r2), 0.0)
     )
     ratio = xi / r2 if r2 > 0.0 else 0.0
-    return XSpectrum(
-        eta1=ej * (ch2 - ratio) / z,
-        eta2=ej * (ch2 + ratio) / z,
-        eta3=math.exp(-beta * (r3 + params.jz)) / z,
-        eta4=math.exp(-beta * (r3 - params.jz)) / z,
-        xi=xi,
+    return (
+        ej * (ch2 - ratio) / z,
+        ej * (ch2 + ratio) / z,
+        math.exp(-beta * (r3 + p.jz)) / z,
+        math.exp(-beta * (r3 - p.jz)) / z,
+        xi,
     )

@@ -25,12 +25,10 @@ index exchange, hence real symmetric; the imaginary parts that show up
 numerically are roundoff and are checked against a dust threshold before
 being discarded.
 
-Closed-form partial-transpose eigenvalues for the thermal state come in
-the same corrected / as_printed variant pair as the model layer:
-``corrected`` matches a brute-force partial transpose to machine
-precision, while ``as_printed`` keeps the published radicals verbatim
-(their e1/e2 radicand mixes chi with squared energy scales and is
-singular at r2 = 0) so the audit can measure the discrepancy.
+``pt_eigen_closed`` evaluates the published partial-transpose eigenvalues
+of the thermal state verbatim (their e1/e2 radicand mixes chi with squared
+energy scales and is singular at r2 = 0), so the audit can measure the
+discrepancy.
 """
 
 from __future__ import annotations
@@ -42,13 +40,7 @@ import numpy as np
 
 from .decoherence import apply_dephasing
 from .engine import CorrelationTriple, ModelParams, NotPSDError, _check_convention
-from .model import (
-    block_pair,
-    derived_scales,
-    thermal_state_closed,
-    thermal_state_oracle,
-    _sinh_ratio,
-)
+from .model import derived_scales, thermal_state_oracle, _sinh_ratio
 from .numkernel import (
     embed_pauli_first,
     hermitian_eig,
@@ -58,7 +50,6 @@ from .numkernel import (
 )
 
 __all__ = [
-    "PTSpectrum",
     "LquResult",
     "LqfiResult",
     "negativity",
@@ -76,25 +67,6 @@ LQFI_PAIR_CUTOFF = 1e-12
 # Residual imaginary parts on W and M beyond this indicate a broken input,
 # not roundoff.
 _IMAG_DUST = 1e-8
-
-
-@dataclass(frozen=True)
-class PTSpectrum:
-    """Partial-transpose eigenvalues; chi is audit-only (NaN when corrected).
-
-    e1, e2 come from the {|00>,|11>} block of the transposed matrix (which
-    carries the |01>/|10> coherence after the transpose), e3, e4 from the
-    {|01>,|10>} block.  Each pair is ordered (minus, plus).
-    """
-
-    e1: float
-    e2: float
-    e3: float
-    e4: float
-    chi: float
-
-    def es(self) -> np.ndarray:
-        return np.array([self.e1, self.e2, self.e3, self.e4])
 
 
 @dataclass(frozen=True)
@@ -127,39 +99,26 @@ def negativity(rho: np.ndarray, convention: str = "halved") -> float:
     return 2.0 * total if convention == "doubled" else total
 
 
-def pt_eigen_closed(p: ModelParams, variant: str = "corrected") -> PTSpectrum:
-    """Closed-form partial-transpose eigenvalues of the thermal state.
+def pt_eigen_closed(p: ModelParams) -> tuple[float, float, float, float]:
+    """The published partial-transpose eigenvalues, verbatim, as (e1..e4).
 
-    corrected: exact 2x2 block eigenvalues after the transpose swaps the
-    two coherences (u moves to the {|01>,|10>} block, v to {|00>,|11>}).
-
-    as_printed: the published expressions with their radicand read as
-    exp(4*beta*jz)*r3^2*chi + 4*B^2*r2^2*sinh^2(beta*r3), where chi is the
-    unrooted 4*dz^2*cosh^2(beta*r2) + (jx+jy)^2*sinh^2(beta*r2) (the only
-    reading that is dimensionally coherent and reduces to the exact pair at
-    dz = 0; the residual defect is the cosh^2 where sinh^2 belongs).  The
-    radical is evaluated in the algebraically identical regrouping
+    e1, e2 come from the {|00>,|11>} block of the transposed matrix (which
+    carries the |01>/|10> coherence after the transpose), e3, e4 from the
+    {|01>,|10>} block; each pair is ordered (minus, plus).  The e1/e2
+    radicand reads exp(4*beta*jz)*r3^2*chi + 4*B^2*r2^2*sinh^2(beta*r3),
+    where chi is the unrooted 4*dz^2*cosh^2(beta*r2) +
+    (jx+jy)^2*sinh^2(beta*r2) (the only reading that is dimensionally
+    coherent and reduces to the exact pair at dz = 0; the residual defect
+    is the cosh^2 where sinh^2 belongs).  The radical is evaluated in the
+    algebraically identical regrouping
     sqrt(exp(4*beta*jz)*chi/r2^2 + (2*B*sinh(beta*r3)/r3)^2) to stay finite
     near r3 = 0; at r2 = 0 the expression is genuinely singular and raises
-    ValueError.  e3/e4 as printed coincide with the corrected pair.  The
-    returned chi field stores this unrooted auxiliary.
+    ValueError.  e3/e4 are exact as printed.
     """
-    state, _ = thermal_state_closed(p, "corrected")
-    if variant == "corrected":
-        e1, e2 = block_pair(state.a1, state.a4, state.v)
-        return PTSpectrum(
-            e1=e1,
-            e2=e2,
-            e3=state.a2 - state.u,
-            e4=state.a2 + state.u,
-            chi=math.nan,
-        )
-    if variant != "as_printed":
-        raise ValueError(f"variant must be 'corrected' or 'as_printed', got {variant!r}")
     s = derived_scales(p)
     beta, z = s.beta, s.z
     if s.r2 == 0.0:
-        raise ValueError("as_printed e1/e2 are singular at r2 = 0")
+        raise ValueError("printed e1/e2 are singular at r2 = 0")
     ch2 = math.cosh(beta * s.r2)
     sh2 = math.sinh(beta * s.r2)
     ch3 = math.cosh(beta * s.r3)
@@ -171,12 +130,11 @@ def pt_eigen_closed(p: ModelParams, variant: str = "corrected") -> PTSpectrum:
     emj = math.exp(-beta * p.jz)
     a2 = math.exp(beta * p.jz) * ch2 / z
     u = s.r1 * emj * sr3 / z
-    return PTSpectrum(
-        e1=emj * ch3 / z - emj * half / z,
-        e2=emj * ch3 / z + emj * half / z,
-        e3=a2 - u,
-        e4=a2 + u,
-        chi=chi,
+    return (
+        emj * ch3 / z - emj * half / z,
+        emj * ch3 / z + emj * half / z,
+        a2 - u,
+        a2 + u,
     )
 
 

@@ -9,6 +9,7 @@ not a test fix.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from functools import lru_cache
 
@@ -25,8 +26,8 @@ from qcorr.app import (
     run_sweep,
 )
 from qcorr.audit import AuditGrid, audit_formulas
-from qcorr.decoherence import apply_dephasing, dephased_pt_eigen_closed, dephased_spectrum_closed
-from qcorr.engine import canonical_triple
+from qcorr.decoherence import apply_dephasing, dephased_spectrum_closed
+from qcorr.engine import canonical_state, canonical_triple
 from qcorr.model import (
     ModelParams,
     build_hamiltonian,
@@ -34,7 +35,6 @@ from qcorr.model import (
     derived_scales,
     thermal_state_closed,
     thermal_state_oracle,
-    x_eigenvalues,
 )
 from qcorr.numkernel import partial_transpose_first
 from qcorr.quantifiers import (
@@ -144,7 +144,7 @@ def test_criterion_2_consistent_closed_forms_match_oracle():
         z_dense = float(np.sum(np.exp(-beta * dense_spec)))
         dev["z"] = max(dev["z"], abs(derived_scales(p).z - z_dense) / z_dense)
 
-        state, _ = thermal_state_closed(p)
+        state = thermal_state_closed(p)
         dev["pops"] = max(
             dev["pops"],
             abs(state.a1 - rho[0, 0].real),
@@ -152,19 +152,13 @@ def test_criterion_2_consistent_closed_forms_match_oracle():
             abs(state.u - abs(rho[0, 3])),
         )
 
-        printed_pt = pt_eigen_closed(p, variant="as_printed")
+        _, _, e3, e4 = pt_eigen_closed(p)
         pair = block_pair(partial_transpose_first(rho), (1, 2))
-        dev["e34"] = max(
-            dev["e34"], abs(printed_pt.e3 - pair[0]), abs(printed_pt.e4 - pair[1])
-        )
+        dev["e34"] = max(dev["e34"], abs(e3 - pair[0]), abs(e4 - pair[1]))
 
-        printed_dc = dephased_spectrum_closed(p, gamma, variant="as_printed")
+        _, _, eta3, eta4 = dephased_spectrum_closed(p, gamma)
         pair = block_pair(apply_dephasing(rho, gamma), (0, 3))
-        dev["eta34_dc"] = max(
-            dev["eta34_dc"],
-            abs(printed_dc.etas[2] - pair[0]),
-            abs(printed_dc.etas[3] - pair[1]),
-        )
+        dev["eta34_dc"] = max(dev["eta34_dc"], abs(eta3 - pair[0]), abs(eta4 - pair[1]))
 
     for name, worst in dev.items():
         assert worst <= 1e-10, f"{name} deviates by {worst:.3e}"
@@ -174,42 +168,53 @@ def test_criterion_2_consistent_closed_forms_match_oracle():
     )
 
 
+def engine_pairs(state, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending {|00>,|11>} and {|01>,|10>} eigenvalue pairs of the engine's
+    canonical state with coherences u and v."""
+    h = math.hypot(state.delta, u)
+    return (
+        np.array([state.m_a - h, state.m_a + h]),
+        np.array([state.m_b - v, state.m_b + v]),
+    )
+
+
 def test_criterion_3_corrected_closed_forms_match_oracle():
-    """Corrected v, thermal spectrum, PT pair e1,e2 and dephased closed forms."""
-    dev = dict.fromkeys(("v", "etas", "e12", "etas_dc", "es_dc"), 0.0)
+    """The engine's canonical state, its spectra and the dephased spectra.
+
+    ``engine.canonical_state`` is the one corrected closed form: its
+    coherences, populations and the block eigenvalues that follow from
+    them, with and without dephasing, before and after the partial
+    transpose (which swaps the two coherences), all track the oracle.
+    """
+    dev = dict.fromkeys(("state", "etas", "es", "etas_dc", "es_dc"), 0.0)
     for (p, gamma), rho in zip(shared_grid(), oracle_states()):
-        state, _ = thermal_state_closed(p)
-        dev["v"] = max(dev["v"], abs(state.v - abs(rho[1, 2])))
-
-        etas = x_eigenvalues(state).etas()
-        dev["etas"] = max(
-            dev["etas"],
-            float(np.max(np.abs(etas[:2] - block_pair(rho, (1, 2))))),
-            float(np.max(np.abs(etas[2:] - block_pair(rho, (0, 3))))),
-        )
-
-        pt = pt_eigen_closed(p)
-        ptm = partial_transpose_first(rho)
-        dev["e12"] = max(
-            dev["e12"],
-            float(np.max(np.abs(np.array([pt.e1, pt.e2]) - block_pair(ptm, (0, 3))))),
+        state = canonical_state(p.jx, p.jy, p.jz, p.dz, p.gz, p.b, p.t)
+        a1, a4 = rho[0, 0].real, rho[3, 3].real
+        dev["state"] = max(
+            dev["state"],
+            abs(state.d_b - abs(rho[1, 2])),
+            abs(state.u0 - abs(rho[0, 3])),
+            abs(state.m_b - rho[1, 1].real),
+            abs(state.pop_lo - min(a1, a4)),
+            abs(state.pop_hi - max(a1, a4)),
         )
 
         sigma = apply_dephasing(rho, gamma)
-        etas_dc = dephased_spectrum_closed(p, gamma).etas
-        dev["etas_dc"] = max(
-            dev["etas_dc"],
-            float(np.max(np.abs(etas_dc[:2] - block_pair(sigma, (1, 2))))),
-            float(np.max(np.abs(etas_dc[2:] - block_pair(sigma, (0, 3))))),
-        )
-
-        es_dc = dephased_pt_eigen_closed(p, gamma).es
-        ptm_dc = partial_transpose_first(sigma)
-        dev["es_dc"] = max(
-            dev["es_dc"],
-            float(np.max(np.abs(es_dc[:2] - block_pair(ptm_dc, (0, 3))))),
-            float(np.max(np.abs(es_dc[2:] - block_pair(ptm_dc, (1, 2))))),
-        )
+        for key, matrix, keep in (("", rho, 1.0), ("_dc", sigma, 1.0 - gamma)):
+            u, v = keep * state.u0, keep * state.d_b
+            pair_a, pair_b = engine_pairs(state, u, v)
+            dev["etas" + key] = max(
+                dev["etas" + key],
+                float(np.max(np.abs(pair_a - block_pair(matrix, (0, 3))))),
+                float(np.max(np.abs(pair_b - block_pair(matrix, (1, 2))))),
+            )
+            pair_a, pair_b = engine_pairs(state, v, u)
+            ptm = partial_transpose_first(matrix)
+            dev["es" + key] = max(
+                dev["es" + key],
+                float(np.max(np.abs(pair_a - block_pair(ptm, (0, 3))))),
+                float(np.max(np.abs(pair_b - block_pair(ptm, (1, 2))))),
+            )
 
     for name, worst in dev.items():
         assert worst <= 1e-10, f"{name} deviates by {worst:.3e}"

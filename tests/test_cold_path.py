@@ -90,5 +90,4 @@ def test_verify_numerical_failure_still_exits_2(monkeypatch, capsys):
 def test_moved_names_are_the_engine_objects():
     assert qcorr.numkernel.NotPSDError is qcorr.engine.NotPSDError
     assert qcorr.numkernel.NotHermitianError is qcorr.engine.NotHermitianError
-    assert qcorr.model.NotXStateError is qcorr.engine.NotXStateError
     assert qcorr.model.ModelParams is qcorr.engine.ModelParams

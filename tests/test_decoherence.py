@@ -1,6 +1,6 @@
 """Dephasing channel tests: Kraus/mask equivalence, exact population
-preservation, closed-form dephased spectra against dense cross-checks, and
-the published-variant discrepancies the audit quantifies.
+preservation, the engine's dephased spectra against dense cross-checks, and
+the discrepancies of the published forms that the audit quantifies.
 """
 
 from __future__ import annotations
@@ -18,12 +18,8 @@ from qcorr.decoherence import (
     dephasing_kraus,
     gamma_from_time,
 )
-from qcorr.model import (
-    ModelParams,
-    thermal_state_closed,
-    thermal_state_oracle,
-    x_eigenvalues,
-)
+from qcorr.engine import canonical_state
+from qcorr.model import ModelParams, thermal_state_oracle
 from qcorr.numkernel import hermitian_eig, partial_transpose_first
 from qcorr.quantifiers import negativity, pt_eigen_closed
 
@@ -34,6 +30,17 @@ def draw_params(rng):
     jx, jy, jz, dz, gz, b = (float(x) for x in rng.uniform(-3.0, 3.0, size=6))
     return ModelParams(jx=jx, jy=jy, jz=jz, dz=dz, gz=gz, b=b, t=float(rng.uniform(0.1, 5.0)))
 
+
+def engine_spectra(p, gamma):
+    """Eigenvalues of the dephased state and of its partial transpose, ascending,
+    from the engine's canonical state: the transpose swaps the coherences."""
+    s = canonical_state(p.jx, p.jy, p.jz, p.dz, p.gz, p.b, p.t)
+    u, v = (1.0 - gamma) * s.u0, (1.0 - gamma) * s.d_b
+    h, h_pt = math.hypot(s.delta, u), math.hypot(s.delta, v)
+    return (
+        np.sort([s.m_a - h, s.m_a + h, s.m_b - v, s.m_b + v]),
+        np.sort([s.m_a - h_pt, s.m_a + h_pt, s.m_b - u, s.m_b + u]),
+    )
 
 # ---------------------------------------------------------------------------
 # channel parameterization
@@ -132,56 +139,16 @@ def test_dephased_spectrum_matches_dense_grid():
     for _ in range(200):
         p = draw_params(rng)
         gamma = float(rng.uniform(0.0, 1.0))
-        spec = dephased_spectrum_closed(p, gamma)
+        etas, _ = engine_spectra(p, gamma)
         dense = hermitian_eig(apply_dephasing(thermal_state_oracle(p), gamma)).values
-        np.testing.assert_allclose(np.sort(spec.etas), dense, rtol=0, atol=1e-12)
-        assert spec.etas.sum() == pytest.approx(1.0, abs=1e-12)
-        assert spec.etas.min() >= -1e-12
+        np.testing.assert_allclose(etas, dense, rtol=0, atol=1e-12)
+        assert etas.sum() == pytest.approx(1.0, abs=1e-12)
+        assert etas.min() >= -1e-12
 
 
-def test_dephased_spectrum_reduces_to_thermal():
-    spec = dephased_spectrum_closed(BASE, 0.0)
-    thermal = x_eigenvalues(thermal_state_closed(BASE)[0])
-    assert np.array_equal(spec.etas, thermal.etas())
-
-
-def test_dephased_eigenvectors_diagonalize():
-    rng = np.random.default_rng(54)
-    for _ in range(100):
-        p = draw_params(rng)
-        gamma = float(rng.uniform(0.0, 1.0))
-        spec = dephased_spectrum_closed(p, gamma)
-        vecs = spec.vectors()
-        np.testing.assert_allclose(vecs.T @ vecs, np.eye(4), rtol=0, atol=1e-10)
-        state, _ = thermal_state_closed(p)
-        rho_dc = apply_dephasing(state.to_matrix(), gamma)
-        resid = np.max(np.abs(rho_dc @ vecs - vecs * spec.etas))
-        assert resid <= 1e-12
-
-
-@pytest.mark.parametrize("b", [1.2, -1.2, 0.0])
-def test_dephased_eigenvectors_degenerate_block(b):
-    # gz = 0 with jx = jy makes r1 = 0: the {|00>,|11>} block is diagonal for
-    # every gamma and the slope limits pick out the computational basis.
-    p = ModelParams(jx=0.9, jy=0.9, jz=-0.7, dz=1.1, gz=0.0, b=b, t=0.8)
-    spec = dephased_spectrum_closed(p, 0.3)
-    vecs = spec.vectors()
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(4), rtol=0, atol=1e-12)
-    state, _ = thermal_state_closed(p)
-    rho_dc = apply_dephasing(state.to_matrix(), 0.3)
-    resid = np.max(np.abs(rho_dc @ vecs - vecs * spec.etas))
-    assert resid <= 1e-13
-    assert math.isinf(spec.xi1) or math.isinf(spec.xi2)
-
-
-def test_dephased_eigenvectors_full_dephasing():
-    # gamma = 1 zeroes the off-diagonal block even when r1 > 0.
-    spec = dephased_spectrum_closed(BASE, 1.0)
-    vecs = spec.vectors()
-    state, _ = thermal_state_closed(BASE)
-    rho_dc = apply_dephasing(state.to_matrix(), 1.0)
-    resid = np.max(np.abs(rho_dc @ vecs - vecs * spec.etas))
-    assert resid <= 1e-13
+def dense_block(matrix, idx):
+    """Ascending eigenvalues of a 2x2 principal block of an X-form matrix."""
+    return np.linalg.eigvalsh(matrix[np.ix_(idx, idx)])
 
 
 def test_dephased_spectrum_printed_shared_pair():
@@ -189,46 +156,26 @@ def test_dephased_spectrum_printed_shared_pair():
     for _ in range(100):
         p = draw_params(rng)
         gamma = float(rng.uniform(0.0, 1.0))
-        exact = dephased_spectrum_closed(p, gamma)
-        printed = dephased_spectrum_closed(p, gamma, variant="as_printed")
-        np.testing.assert_allclose(printed.etas[2:], exact.etas[2:], rtol=0, atol=1e-12)
+        sigma = apply_dephasing(thermal_state_oracle(p), gamma)
+        printed = dephased_spectrum_closed(p, gamma)
+        np.testing.assert_allclose(
+            printed[2:], dense_block(sigma, (0, 3)), rtol=0, atol=1e-12
+        )
 
 
 def test_dephased_spectrum_printed_spurious_prefactor():
     """The published eta1+eta2 sum is (1-gamma) * 2*a2 instead of 2*a2."""
     gamma = 0.4
-    state, _ = thermal_state_closed(BASE)
-    printed = dephased_spectrum_closed(BASE, gamma, variant="as_printed")
-    assert printed.etas[0] + printed.etas[1] == pytest.approx(
-        (1.0 - gamma) * 2.0 * state.a2, abs=1e-12
-    )
-    exact = dephased_spectrum_closed(BASE, gamma)
-    assert exact.etas[0] + exact.etas[1] == pytest.approx(2.0 * state.a2, abs=1e-15)
-
-
-def test_dephased_spectrum_printed_slope_quirks():
-    # Published xi1 is algebraically the corrected slope; its sqrt'd zeta
-    # breaks normalization, and the xi2 radicand can go negative.
-    exact = dephased_spectrum_closed(BASE, 0.3)
-    printed = dephased_spectrum_closed(BASE, 0.3, variant="as_printed")
-    assert printed.xi1 == pytest.approx(exact.xi1, rel=1e-12)
-    assert printed.zeta1 == pytest.approx(math.sqrt(exact.zeta1), rel=1e-12)
-    p = ModelParams(jx=1.0, jy=0.0, jz=0.5, dz=0.0, gz=1.0, b=0.1, t=1.0)
-    printed = dephased_spectrum_closed(p, 0.0, variant="as_printed")
-    assert math.isnan(printed.xi2) and math.isnan(printed.zeta2)
-
-
-def test_dephased_spectrum_printed_slope_undefined_at_r1_zero():
-    p = ModelParams(jx=0.9, jy=0.9, jz=-0.7, dz=1.1, gz=0.0, b=1.2, t=0.8)
-    printed = dephased_spectrum_closed(p, 0.3, variant="as_printed")
-    assert math.isnan(printed.xi1) and math.isnan(printed.xi2)
+    a2 = thermal_state_oracle(BASE)[1, 1].real
+    printed = dephased_spectrum_closed(BASE, gamma)
+    assert printed[0] + printed[1] == pytest.approx((1.0 - gamma) * 2.0 * a2, abs=1e-12)
 
 
 def test_dephased_spectrum_rejects_bad_args():
     with pytest.raises(ValueError):
         dephased_spectrum_closed(BASE, -0.1)
     with pytest.raises(ValueError):
-        dephased_spectrum_closed(BASE, 0.5, variant="verbatim")
+        dephased_spectrum_closed(BASE, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -240,57 +187,63 @@ def test_dephased_pt_matches_dense_grid():
     for _ in range(200):
         p = draw_params(rng)
         gamma = float(rng.uniform(0.0, 1.0))
-        spec = dephased_pt_eigen_closed(p, gamma)
+        _, es = engine_spectra(p, gamma)
         dense = hermitian_eig(
             partial_transpose_first(apply_dephasing(thermal_state_oracle(p), gamma))
         ).values
-        np.testing.assert_allclose(np.sort(spec.es), dense, rtol=0, atol=1e-12)
-        assert math.isnan(spec.p_aux)
+        np.testing.assert_allclose(es, dense, rtol=0, atol=1e-12)
 
 
 def test_dephased_pt_reduces_to_thermal():
-    thermal = pt_eigen_closed(BASE)
-    spec = dephased_pt_eigen_closed(BASE, 0.0)
-    assert np.array_equal(spec.es, [thermal.e1, thermal.e2, thermal.e3, thermal.e4])
+    """At gamma = 0 the published dephased set reduces to the published thermal
+    one, except e2, which adds the unrooted P."""
+    rng = np.random.default_rng(58)
+    for _ in range(50):
+        p = draw_params(rng)
+        thermal = pt_eigen_closed(p)
+        dephased = dephased_pt_eigen_closed(p, 0.0)
+        for i in (0, 2, 3):
+            assert dephased[i] == pytest.approx(thermal[i], rel=1e-12, abs=1e-15)
+    assert abs(dephased_pt_eigen_closed(BASE, 0.0)[1] - pt_eigen_closed(BASE)[1]) > 1e-3
 
 
 def test_dephased_pt_fully_dephased_is_ppt():
     rng = np.random.default_rng(57)
     for _ in range(50):
-        spec = dephased_pt_eigen_closed(draw_params(rng), 1.0)
-        assert spec.es.min() >= -1e-12
+        assert engine_spectra(draw_params(rng), 1.0)[1].min() >= -1e-12
 
 
 def test_dephased_pt_printed_agrees_at_origin():
     """gamma = 0, dz = 0: the published radicand collapses to the exact one
     for e1; e2 keeps its unrooted P typo even there."""
     p = dataclasses.replace(BASE, dz=0.0)
-    exact = dephased_pt_eigen_closed(p, 0.0)
-    printed = dephased_pt_eigen_closed(p, 0.0, variant="as_printed")
-    assert printed.es[0] == pytest.approx(exact.es[0], abs=1e-12)
-    assert printed.es[2] == pytest.approx(exact.es[2], abs=1e-12)
-    assert printed.es[3] == pytest.approx(exact.es[3], abs=1e-12)
-    assert printed.p_aux > 0.0
-    assert abs(printed.es[1] - exact.es[1]) > 1e-6
+    ptm = partial_transpose_first(thermal_state_oracle(p))
+    lo12, hi12 = dense_block(ptm, (0, 3))
+    lo34, hi34 = dense_block(ptm, (1, 2))
+    printed = dephased_pt_eigen_closed(p, 0.0)
+    assert printed[0] == pytest.approx(lo12, abs=1e-12)
+    assert printed[2] == pytest.approx(lo34, abs=1e-12)
+    assert printed[3] == pytest.approx(hi34, abs=1e-12)
+    assert abs(printed[1] - hi12) > 1e-6
 
 
 def test_dephased_pt_printed_population_scaling():
     """The published e3/e4 scale populations by (1-gamma), not just u."""
     gamma = 0.5
-    exact = dephased_pt_eigen_closed(BASE, gamma)
-    printed = dephased_pt_eigen_closed(BASE, gamma, variant="as_printed")
-    thermal = pt_eigen_closed(BASE)
-    assert printed.es[2] == pytest.approx((1.0 - gamma) * thermal.e3, abs=1e-12)
-    assert abs(printed.es[2] - exact.es[2]) > 1e-3
+    ptm = partial_transpose_first(apply_dephasing(thermal_state_oracle(BASE), gamma))
+    exact_e3 = dense_block(ptm, (1, 2))[0]
+    printed = dephased_pt_eigen_closed(BASE, gamma)
+    assert printed[2] == pytest.approx((1.0 - gamma) * pt_eigen_closed(BASE)[2], abs=1e-12)
+    assert abs(printed[2] - exact_e3) > 1e-3
 
 
 def test_dephased_pt_printed_singular_scales():
     p = ModelParams(jx=1.0, jy=-1.0, jz=0.5, dz=0.0, gz=0.2, b=0.4, t=1.0)
     with pytest.raises(ValueError):
-        dephased_pt_eigen_closed(p, 0.3, variant="as_printed")
+        dephased_pt_eigen_closed(p, 0.3)
     p = ModelParams(jx=1.0, jy=1.0, jz=0.5, dz=0.3, gz=0.0, b=0.0, t=1.0)
     with pytest.raises(ValueError):
-        dephased_pt_eigen_closed(p, 0.3, variant="as_printed")
+        dephased_pt_eigen_closed(p, 0.3)
 
 
 # ---------------------------------------------------------------------------

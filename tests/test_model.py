@@ -1,29 +1,28 @@
-"""Model tests: Hamiltonian entries, closed-form spectrum and thermal state
-against the eigendecomposition oracle, and the X-state canonicalization.
+"""Model tests: Hamiltonian entries, closed-form spectrum, the oracle thermal
+state, the engine's canonical state and the published closed forms against
+the oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qcorr.engine import canonical_state
 from qcorr.model import (
     ModelParams,
-    NotXStateError,
-    PhaseInfo,
-    XState,
     build_hamiltonian,
     closed_spectrum,
     derived_scales,
-    remove_phases,
     thermal_state_closed,
     thermal_state_oracle,
     x_eigenvalues,
 )
-from qcorr.numkernel import NotHermitianError, hermitian_eig
+from qcorr.numkernel import hermitian_eig
 
 # Parameter point used throughout: jx=-1, jy=-1.5, jz=2, dz=1.8, gz=0.3, b=1.5.
 BASE = ModelParams(jx=-1.0, jy=-1.5, jz=2.0, dz=1.8, gz=0.3, b=1.5, t=0.5)
@@ -34,13 +33,16 @@ def draw_params(rng):
     return ModelParams(jx=jx, jy=jy, jz=jz, dz=dz, gz=gz, b=b, t=float(rng.uniform(0.1, 5.0)))
 
 
-def random_xstate(rng):
-    pops = rng.uniform(0.05, 1.0, size=4)
-    pops /= pops.sum()
-    a1, a2, a3, a4 = (float(x) for x in pops)
-    u = float(rng.uniform(0.0, 1.0)) * math.sqrt(a1 * a4)
-    v = float(rng.uniform(0.0, 1.0)) * math.sqrt(a2 * a3)
-    return XState(a1=a1, a2=a2, a3=a3, a4=a4, u=u, v=v)
+def engine_state(p):
+    return canonical_state(p.jx, p.jy, p.jz, p.dz, p.gz, p.b, p.t)
+
+
+def canonical_matrix(rho):
+    """rho with both coherences rotated onto the positive real axis."""
+    canon = np.diag(np.diag(rho).real).astype(complex)
+    canon[0, 3] = canon[3, 0] = abs(rho[0, 3])
+    canon[1, 2] = canon[2, 1] = abs(rho[1, 2])
+    return canon
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +65,6 @@ def test_params_reject_non_finite_coupling():
 def test_params_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         BASE.jz = 0.0
-
-
-def test_xstate_validation():
-    with pytest.raises(ValueError):
-        XState(a1=0.5, a2=0.5, a3=0.5, a4=0.5, u=0.0, v=0.0)  # trace 2
-    with pytest.raises(ValueError):
-        XState(a1=-0.1, a2=0.5, a3=0.3, a4=0.3, u=0.0, v=0.0)
-    with pytest.raises(ValueError):
-        XState(a1=0.25, a2=0.25, a3=0.25, a4=0.25, u=0.5, v=0.0)  # u^2 > a1*a4
-    with pytest.raises(ValueError):
-        XState(a1=0.25, a2=0.25, a3=0.25, a4=0.25, u=0.0, v=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +202,33 @@ def test_oracle_golden_entries():
 
 
 def test_closed_corrected_matches_oracle_grid():
+    """The engine's canonical state holds the oracle's populations and
+    coherence magnitudes."""
     rng = np.random.default_rng(25)
     for _ in range(300):
         p = draw_params(rng)
-        state, phases = thermal_state_closed(p)
-        rho = state.to_matrix(phases)
-        np.testing.assert_allclose(rho, thermal_state_oracle(p), rtol=0, atol=1e-12)
+        state = engine_state(p)
+        rho = thermal_state_oracle(p)
+        a1, a2, a4 = rho[0, 0].real, rho[1, 1].real, rho[3, 3].real
+        np.testing.assert_allclose(
+            [state.pop_lo, state.pop_hi, state.m_b, state.u0, state.d_b],
+            [min(a1, a4), max(a1, a4), a2, abs(rho[0, 3]), abs(rho[1, 2])],
+            rtol=0,
+            atol=1e-12,
+        )
+        assert state.m_a == pytest.approx((a1 + a4) / 2.0, abs=1e-12)
 
 
 def test_closed_small_gap_continuity():
+    """Near r3 = 0 the exact printed elements take the sinh(x)/x series."""
     p = ModelParams(jx=1.0, jy=1.0 - 1e-9, jz=0.8, dz=0.4, gz=0.0, b=0.0, t=0.7)
-    state, phases = thermal_state_closed(p)
+    state = thermal_state_closed(p)
+    rho = thermal_state_oracle(p)
     np.testing.assert_allclose(
-        state.to_matrix(phases), thermal_state_oracle(p), rtol=0, atol=1e-12
+        [state.a1, state.a2, state.a4, state.u],
+        [rho[0, 0].real, rho[1, 1].real, rho[3, 3].real, abs(rho[0, 3])],
+        rtol=0,
+        atol=1e-12,
     )
 
 
@@ -232,104 +237,48 @@ def test_closed_printed_coherence_agrees_without_dm():
     rng = np.random.default_rng(26)
     for _ in range(100):
         p = dataclasses.replace(draw_params(rng), dz=0.0)
-        exact, _ = thermal_state_closed(p, variant="corrected")
-        printed, _ = thermal_state_closed(p, variant="as_printed")
-        assert printed.v == pytest.approx(exact.v, abs=1e-14)
-        assert printed.u == exact.u
-        assert printed.a1 == exact.a1 and printed.a4 == exact.a4
+        rho = thermal_state_oracle(p)
+        printed = thermal_state_closed(p)
+        assert printed.v == pytest.approx(abs(rho[1, 2]), abs=1e-12)
+        assert printed.u == pytest.approx(abs(rho[0, 3]), abs=1e-12)
+        assert printed.a1 == pytest.approx(rho[0, 0].real, abs=1e-12)
+        assert printed.a4 == pytest.approx(rho[3, 3].real, abs=1e-12)
 
 
 def test_closed_printed_coherence_cosh_excess():
     """With dz != 0 the published coherence overshoots (cosh under the root).
 
     The excess scales like cosh - sinh, so it only shows at moderate beta*r2;
-    at low temperature the two variants coincide to roundoff.
+    at low temperature the printed and exact values coincide to roundoff.
     """
     hot = dataclasses.replace(BASE, t=5.0)
-    exact, _ = thermal_state_closed(hot, variant="corrected")
-    printed, _ = thermal_state_closed(hot, variant="as_printed")
-    assert printed.v > exact.v + 1e-3
+    printed = thermal_state_closed(hot)
+    assert printed.v > abs(thermal_state_oracle(hot)[1, 2]) + 1e-3
 
 
 def test_closed_printed_phase_conjugated():
-    _, exact = thermal_state_closed(BASE, variant="corrected")
-    _, printed = thermal_state_closed(BASE, variant="as_printed")
-    assert printed.phi14 == pytest.approx(-exact.phi14, abs=1e-15)
+    exact = cmath.phase(thermal_state_oracle(BASE)[0, 3])
+    assert thermal_state_closed(BASE).phi14 == pytest.approx(-exact, abs=1e-12)
 
 
 def test_closed_hot_limit():
-    state, _ = thermal_state_closed(dataclasses.replace(BASE, t=1e9))
-    for pop in (state.a1, state.a2, state.a3, state.a4):
+    hot = dataclasses.replace(BASE, t=1e9)
+    printed = thermal_state_closed(hot)
+    for pop in (printed.a1, printed.a2, printed.a4):
         assert pop == pytest.approx(0.25, abs=1e-8)
-    assert state.u <= 1e-8 and state.v <= 1e-8
+    assert printed.u <= 1e-8
+    state = engine_state(hot)
+    for pop in (state.pop_lo, state.pop_hi, state.m_b):
+        assert pop == pytest.approx(0.25, abs=1e-8)
+    assert state.u0 <= 1e-8 and state.d_b <= 1e-8
 
 
 def test_closed_handles_vanishing_scales():
     p = ModelParams(jx=0.0, jy=0.0, jz=1.5, dz=0.0, gz=0.0, b=0.0, t=1.0)
-    for variant in ("corrected", "as_printed"):
-        state, phases = thermal_state_closed(p, variant=variant)
-        assert state.u == 0.0 and state.v == 0.0
-        assert phases.phi14 == 0.0 and phases.phi23 == 0.0
-        assert state.a1 + state.a2 + state.a3 + state.a4 == pytest.approx(1.0, abs=1e-15)
-
-
-def test_closed_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        thermal_state_closed(BASE, variant="fixed")
-
-
-# ---------------------------------------------------------------------------
-# phase removal
-
-
-def test_remove_phases_round_trip():
-    rng = np.random.default_rng(27)
-    for _ in range(100):
-        state = random_xstate(rng)
-        phases = PhaseInfo(
-            phi14=float(rng.uniform(-math.pi, math.pi)),
-            phi23=float(rng.uniform(-math.pi, math.pi)),
-        )
-        rho = state.to_matrix(phases)
-        got_state, got_phases = remove_phases(rho)
-        np.testing.assert_allclose(got_state.to_matrix(got_phases), rho, rtol=0, atol=1e-15)
-        assert got_state.u == pytest.approx(state.u, abs=1e-15)
-        assert got_state.v == pytest.approx(state.v, abs=1e-15)
-
-
-def test_remove_phases_principal_values():
-    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-    rho[0, 3] = 0.1j
-    rho[3, 0] = -0.1j
-    rho[1, 2] = -0.05
-    rho[2, 1] = -0.05
-    _, phases = remove_phases(rho)
-    assert phases.phi14 == math.pi / 2
-    assert phases.phi23 == math.pi
-
-
-def test_remove_phases_rejects_non_x():
-    rho = np.eye(4, dtype=complex) / 4
-    rho[0, 1] = 1e-6
-    rho[1, 0] = 1e-6
-    with pytest.raises(NotXStateError):
-        remove_phases(rho)
-
-
-def test_remove_phases_rejects_non_hermitian():
-    rho = np.eye(4, dtype=complex) / 4
-    rho[0, 3] = 0.1
-    with pytest.raises(NotHermitianError):
-        remove_phases(rho)
-
-
-def test_remove_phases_rejects_bad_input():
-    with pytest.raises(ValueError):
-        remove_phases(np.eye(3, dtype=complex) / 3)
-    bad = np.eye(4, dtype=complex) / 4
-    bad[0, 0] = math.nan
-    with pytest.raises(ValueError):
-        remove_phases(bad)
+    state = thermal_state_closed(p)
+    assert state.u == 0.0 and state.v == 0.0
+    assert state.phi14 == 0.0 and state.phi23 == 0.0
+    assert state.a1 + 2.0 * state.a2 + state.a4 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_canonical_form_even_in_dm_and_ksea_sign():
@@ -337,57 +286,27 @@ def test_canonical_form_even_in_dm_and_ksea_sign():
     for _ in range(50):
         p = draw_params(rng)
         flipped = dataclasses.replace(p, dz=-p.dz, gz=-p.gz)
-        assert thermal_state_closed(p)[0] == thermal_state_closed(flipped)[0]
-        a = remove_phases(thermal_state_oracle(p))[0]
-        b = remove_phases(thermal_state_oracle(flipped))[0]
-        for field in ("a1", "a2", "a3", "a4", "u", "v"):
-            assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-12)
+        assert engine_state(p) == engine_state(flipped)
+        np.testing.assert_allclose(
+            canonical_matrix(thermal_state_oracle(p)),
+            canonical_matrix(thermal_state_oracle(flipped)),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 # ---------------------------------------------------------------------------
-# X-state eigenvalues
-
-
-def test_x_eigenvalues_maximally_mixed():
-    spec = x_eigenvalues(XState(a1=0.25, a2=0.25, a3=0.25, a4=0.25, u=0.0, v=0.0))
-    assert np.array_equal(spec.etas(), [0.25, 0.25, 0.25, 0.25])
-    assert math.isnan(spec.xi)
-
-
-def test_x_eigenvalues_bell_states():
-    phi = x_eigenvalues(XState(a1=0.5, a2=0.0, a3=0.0, a4=0.5, u=0.5, v=0.0))
-    assert np.array_equal(phi.etas(), [0.0, 0.0, 0.0, 1.0])
-    psi = x_eigenvalues(XState(a1=0.0, a2=0.5, a3=0.5, a4=0.0, u=0.0, v=0.5))
-    assert np.array_equal(psi.etas(), [0.0, 1.0, 0.0, 0.0])
-
-
-def test_x_eigenvalues_match_dense_solver():
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        state = random_xstate(rng)
-        spec = x_eigenvalues(state)
-        dense = hermitian_eig(state.to_matrix()).values
-        np.testing.assert_allclose(np.sort(spec.etas()), dense, rtol=0, atol=1e-13)
-        assert spec.etas().sum() == pytest.approx(1.0, abs=1e-12)
-        assert spec.etas().min() >= -1e-12
+# X-state eigenvalues, as printed
 
 
 def test_x_eigenvalues_printed_variant():
-    state, _ = thermal_state_closed(BASE)
-    s = derived_scales(BASE)
-    exact = x_eigenvalues(state)
-    printed = x_eigenvalues(state, scales=s, variant="as_printed", params=BASE)
+    rho = thermal_state_oracle(BASE)
+    lo23, hi23 = np.linalg.eigvalsh(rho[np.ix_((1, 2), (1, 2))])
+    lo14, hi14 = np.linalg.eigvalsh(rho[np.ix_((0, 3), (0, 3))])
+    eta1, _, eta3, eta4, xi = x_eigenvalues(BASE, derived_scales(BASE))
     # The small block eigenvalue survives verbatim; its partner picked up a
     # sign flip in the exponent, and eta1/eta2 carry the oversized xi.
-    assert printed.eta3 == pytest.approx(exact.eta3, abs=1e-12)
-    assert abs(printed.eta4 - exact.eta4) > 0.9 * exact.eta4
-    assert printed.eta1 < exact.eta1
-    assert printed.xi > 0.0
-
-
-def test_x_eigenvalues_printed_needs_context():
-    state, _ = thermal_state_closed(BASE)
-    with pytest.raises(ValueError):
-        x_eigenvalues(state, variant="as_printed")
-    with pytest.raises(ValueError):
-        x_eigenvalues(state, scales=derived_scales(BASE), variant="as_printed")
+    assert eta3 == pytest.approx(lo14, abs=1e-12)
+    assert abs(eta4 - hi14) > 0.9 * hi14
+    assert eta1 < lo23
+    assert xi > 0.0

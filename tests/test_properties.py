@@ -31,7 +31,7 @@ from qcorr.model import ModelParams  # noqa: E402
 
 couplings = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 2.0]),
-    st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 temperatures = st.floats(1e-6, 1e6)
 gammas = st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -45,6 +45,15 @@ gammas = st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @example(  # Nearly pure: unbounded, LQU rounds to 1 + 2^-52 here.
     jx=-3.479911751679796e97, jy=1.0, jz=2.5665798875280566e78, dz=-1.9378328130984575e-08,
     gz=4.180543993370753e116, b=-1.286571375033178e107, t=0.011724381252620649, gamma=0.0,
+)
+@example(  # 2*gz overflows; the true triple is about (0.5, 1, 1).
+    jx=0.0, jy=0.0, jz=0.0, dz=0.0, gz=1e308, b=0.0, t=1.0, gamma=None,
+)
+@example(  # jx - jy overflows.
+    jx=1e308, jy=-1e308, jz=0.0, dz=0.0, gz=0.0, b=0.0, t=1.0, gamma=None,
+)
+@example(  # The gap between the blocks' lowest levels overflows: (0.3524, 0.3519, 0.5800).
+    jx=1e308, jy=0.0, jz=1.7e308, dz=0.0, gz=0.0, b=0.0, t=1e308, gamma=None,
 )
 def test_canonical_triple_stays_finite_and_in_range(jx, jy, jz, dz, gz, b, t, gamma):
     trip = canonical_triple(ModelParams(jx=jx, jy=jy, jz=jz, dz=dz, gz=gz, b=b, t=t), gamma)

@@ -13,8 +13,8 @@ import pytest
 
 from qcorr.app import figure_preset
 from qcorr.decoherence import apply_dephasing
-from qcorr.engine import CorrelationTriple, canonical_triple
-from qcorr.model import ModelParams, remove_phases, thermal_state_oracle
+from qcorr.engine import CorrelationTriple, canonical_state, canonical_triple
+from qcorr.model import ModelParams, thermal_state_oracle
 from qcorr.numkernel import NotPSDError, hermitian_eig, partial_transpose_first
 from qcorr.quantifiers import (
     correlations,
@@ -87,57 +87,55 @@ def test_negativity_thermal_range():
 
 
 def test_pt_closed_matches_dense_grid():
+    """The engine's partial-transpose eigenvalues: its canonical blocks with
+    the two coherences swapped."""
     rng = np.random.default_rng(32)
     for _ in range(300):
         p = draw_params(rng)
-        spec = pt_eigen_closed(p)
-        es = np.array([spec.e1, spec.e2, spec.e3, spec.e4])
+        s = canonical_state(p.jx, p.jy, p.jz, p.dz, p.gz, p.b, p.t)
+        half = math.hypot(s.delta, s.d_b)
+        es = np.array([s.m_a - half, s.m_a + half, s.m_b - s.u0, s.m_b + s.u0])
         dense = hermitian_eig(partial_transpose_first(thermal_state_oracle(p))).values
         np.testing.assert_allclose(np.sort(es), dense, rtol=0, atol=1e-12)
         assert es.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.sum(es < -1e-12) <= 1
-        assert math.isnan(spec.chi)
+
+
+def dense_pt_pairs(p):
+    """Ascending {|00>,|11>} and {|01>,|10>} pairs of the oracle's transpose."""
+    ptm = partial_transpose_first(thermal_state_oracle(p))
+    return tuple(np.linalg.eigvalsh(ptm[np.ix_(idx, idx)]) for idx in ((0, 3), (1, 2)))
 
 
 def test_pt_closed_printed_shared_pair():
     rng = np.random.default_rng(33)
     for _ in range(100):
         p = draw_params(rng)
-        exact = pt_eigen_closed(p)
-        printed = pt_eigen_closed(p, variant="as_printed")
-        assert printed.e3 == pytest.approx(exact.e3, abs=1e-12)
-        assert printed.e4 == pytest.approx(exact.e4, abs=1e-12)
-        assert printed.chi >= 0.0
+        _, e34 = dense_pt_pairs(p)
+        np.testing.assert_allclose(pt_eigen_closed(p)[2:], e34, rtol=0, atol=1e-12)
 
 
 def test_pt_closed_printed_agrees_without_dm():
     rng = np.random.default_rng(34)
     for _ in range(100):
         p = dataclasses.replace(draw_params(rng), dz=0.0)
-        exact = pt_eigen_closed(p)
-        printed = pt_eigen_closed(p, variant="as_printed")
-        for name in ("e1", "e2", "e3", "e4"):
-            assert getattr(printed, name) == pytest.approx(getattr(exact, name), abs=1e-12)
+        np.testing.assert_allclose(
+            pt_eigen_closed(p), np.concatenate(dense_pt_pairs(p)), rtol=0, atol=1e-12
+        )
 
 
 def test_pt_closed_printed_cosh_contamination():
     hot = dataclasses.replace(BASE, t=5.0)
-    exact = pt_eigen_closed(hot)
-    printed = pt_eigen_closed(hot, variant="as_printed")
-    assert abs(printed.e1 - exact.e1) > 1e-3
-    assert abs(printed.e2 - exact.e2) > 1e-3
+    e12, _ = dense_pt_pairs(hot)
+    e1, e2, _, _ = pt_eigen_closed(hot)
+    assert abs(e1 - e12[0]) > 1e-3
+    assert abs(e2 - e12[1]) > 1e-3
 
 
 def test_pt_closed_printed_singular_without_planar_scale():
     p = ModelParams(jx=1.0, jy=-1.0, jz=0.5, dz=0.0, gz=0.2, b=0.4, t=1.0)
-    pt_eigen_closed(p)  # corrected route stays regular
     with pytest.raises(ValueError):
-        pt_eigen_closed(p, variant="as_printed")
-
-
-def test_pt_closed_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        pt_eigen_closed(BASE, variant="printed")
+        pt_eigen_closed(p)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +242,11 @@ def test_lqfi_dominates_lqu_on_thermal_grid():
 def test_quantifiers_invariant_under_phase_removal():
     rng = np.random.default_rng(39)
     for _ in range(50):
-        p = draw_params(rng)
-        rho = thermal_state_oracle(p)
-        state, _ = remove_phases(rho)
-        canon = state.to_matrix()
+        rho = thermal_state_oracle(draw_params(rng))
+        # The canonical form: both coherences rotated onto the positive real axis.
+        canon = np.diag(np.diag(rho).real).astype(complex)
+        canon[0, 3] = canon[3, 0] = abs(rho[0, 3])
+        canon[1, 2] = canon[2, 1] = abs(rho[1, 2])
         assert negativity(rho) == pytest.approx(negativity(canon), abs=1e-10)
         assert lqu(rho).value == pytest.approx(lqu(canon).value, abs=1e-10)
         assert lqfi(rho).value == pytest.approx(lqfi(canon).value, abs=1e-10)
@@ -437,6 +436,25 @@ def test_canonical_triple_survives_an_empty_block():
         assert fast.negativity == pytest.approx(dense.negativity, abs=1e-12)
         assert fast.lqu == pytest.approx(dense.lqu, abs=2e-5)
         assert fast.lqfi == pytest.approx(dense.lqfi, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "couplings",
+    [dict(gz=1e308), dict(jx=1e308, jy=-1e308), dict(jx=1e308, jz=1.7e308, t=1e308)],
+)
+def test_canonical_triple_near_the_float_maximum(couplings):
+    """Overflowing scales are evaluated at the inputs scaled down: the Gibbs
+    state depends on H/T only, and the dense route agrees there."""
+    fields = {**dict(jx=0.0, jy=0.0, jz=0.0, dz=0.0, gz=0.0, b=0.0, t=1.0), **couplings}
+    scaled = ModelParams(**{name: value / 16.0 for name, value in fields.items()})
+    for gamma in (None, 0.4):
+        got = canonical_triple(ModelParams(**fields), gamma=gamma)
+        assert got == canonical_triple(scaled, gamma=gamma)
+        with np.errstate(over="ignore"):  # exp(-beta * gap) of huge gaps is 0
+            dense = correlations(scaled, gamma=gamma)
+        assert got.negativity == pytest.approx(dense.negativity, abs=1e-12)
+        assert got.lqu == pytest.approx(dense.lqu, abs=2e-5)
+        assert got.lqfi == pytest.approx(dense.lqfi, abs=1e-12)
 
 
 def test_canonical_triple_conventions_and_gamma_checks():
